@@ -5,6 +5,8 @@ scenario types.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Crossings closer than this (as a fraction of segment length) to either
@@ -80,6 +82,47 @@ def segment_edge_params(origin_xy: np.ndarray, targets_xy: np.ndarray,
     return hit, t
 
 
+def _distance_to_segment(a, b) -> float:
+    """Plan distance from (0, 0) to the segment a-b."""
+    sx, sy = b[0] - a[0], b[1] - a[1]
+    length2 = sx * sx + sy * sy
+    lam = min(max(-(a[0] * sx + a[1] * sy) / length2, 0.0), 1.0) if length2 else 0.0
+    return math.hypot(a[0] + lam * sx, a[1] + lam * sy)
+
+
+def _shadow(origin_xy: np.ndarray, polygon: np.ndarray):
+    """Where a footprint can block segments from `origin_xy`, or None.
+
+    Returns (cos_c, sin_c, tan_half, min_reach): a target can be blocked
+    only if its bearing is within atan(tan_half) of the bearing
+    (cos_c, sin_c) and its plan distance is at least `min_reach`.  None
+    means no such bound is safe and every target must be tested.
+    """
+    ox, oy = origin_xy.tolist()
+    rel = [(x - ox, y - oy) for x, y in polygon.tolist()]
+    edges = list(zip(rel, rel[1:] + rel[:1]))
+    reach = max(math.hypot(x, y) for x, y in rel)
+    # The middle of a long wall can be nearer than its corners, so this is
+    # the nearest boundary point, not the nearest vertex.
+    nearest = min(_distance_to_segment(a, b) for a, b in edges)
+    # Crossings count up to 1e-12 of an edge beyond its ends; the slacks
+    # cover that with three orders of magnitude to spare.
+    slack = 1e-9 * reach
+    if nearest <= slack:
+        return None  # the origin is on a wall
+    sweep = [0.0]  # bearing of each vertex relative to the first
+    for (x0, y0), (x1, y1) in edges[:-1]:
+        sweep.append(sweep[-1] + math.atan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1))
+    lo, hi = min(sweep), max(sweep)
+    half = 0.5 * (hi - lo) + slack / nearest + 1e-9
+    # An origin inside winds the edges a full turn in steps of less than
+    # half a turn, so its vertices span more than half a turn: caught here.
+    if half >= 0.5 * math.pi:
+        return None  # the wedge spans half a turn or more
+    centre = math.atan2(rel[0][1], rel[0][0]) + 0.5 * (lo + hi)
+    return math.cos(centre), math.sin(centre), math.tan(half), nearest - slack
+
+
 def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
                               footprints: list[tuple[np.ndarray, float]]) -> np.ndarray:
     """Number of footprints occluding each origin->target 3D segment.
@@ -87,6 +130,18 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
     A footprint (polygon, height) blocks a segment when the segment
     crosses one of its edges in plan view at a point where the linearly
     interpolated segment height is below the footprint height.
+
+    Each footprint's edges are tested only against the targets that can
+    cross them; the counts equal those of testing every target.  Seen
+    from the origin, a footprint covers a wedge of bearings, and its
+    nearest boundary point (point-to-segment distance, not the nearest
+    vertex) is at some distance d.  With R the distance to its farthest
+    vertex, a target is tested when its bearing is inside the wedge
+    widened by 1e-9 * R / d + 1e-9 rad on each side and its plan distance
+    is at least d - 1e-9 * R.  The widening covers the 1e-12 tolerance on
+    the edge parameter with room to spare.  Every target is tested when
+    the origin lies on a wall (d <= 1e-9 * R) or inside the footprint, or
+    when the widened wedge spans half a turn or more.
     """
     origin = np.asarray(origin, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -95,16 +150,31 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
     o_xy = origin[:2]
     o_z = origin[2]
     dz = targets[:, 2] - o_z
+    rel = targets[:, :2] - o_xy
+    reaches = np.hypot(rel[:, 0], rel[:, 1])
     for polygon, height in footprints:
-        blocked = np.zeros(m, dtype=bool)
+        shadow = _shadow(o_xy, polygon)
+        if shadow is None:
+            idx = slice(None)
+        else:
+            cos_c, sin_c, tan_half, min_reach = shadow
+            along, across = (rel @ np.array([[cos_c, -sin_c], [sin_c, cos_c]])).T
+            idx = np.flatnonzero((np.abs(across) <= tan_half * along)
+                                 & (reaches >= min_reach))
+            if not len(idx):
+                continue
+        xy = targets[idx, :2]
+        dz_idx = dz[idx]
+        blocked = np.zeros(len(xy), dtype=bool)
         nv = len(polygon)
         for i in range(nv):
             a = polygon[i]
             b = polygon[(i + 1) % nv]
-            hit, t = segment_edge_params(o_xy, targets[:, :2], a, b)
+            hit, t = segment_edge_params(o_xy, xy, a, b)
             if not hit.any():
                 continue
-            z_at = o_z + t * dz
+            with np.errstate(invalid="ignore"):  # t is inf on edge-parallel rays
+                z_at = o_z + t * dz_idx
             blocked |= hit & (z_at < height)
-        counts += blocked
+        counts[idx] += blocked
     return counts

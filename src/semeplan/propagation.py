@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -127,10 +128,30 @@ def _polarization(directions: np.ndarray) -> np.ndarray:
     return p / norms[:, None]
 
 
-def _radiate(sources: Sequence[_Source], points: np.ndarray, wavelength: float,
-             footprints, wall_loss_db: float) -> np.ndarray:
+# Wall counts of each scenario, keyed by target set, then source position.
+# They depend on nothing else, so every sector, instant and device kind at
+# one position shares them.  An entry goes when its scenario does.
+_WALL_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _wall_counts(scenario: Scenario, position: np.ndarray,
+                 points: np.ndarray) -> np.ndarray:
+    """Read-only counts of footprints blocking each position->point path."""
+    by_source = _WALL_COUNTS.setdefault(scenario, {}) \
+        .setdefault(points.tobytes(), {})
+    key = position.tobytes()
+    if key not in by_source:
+        walls = count_blocking_footprints(position, points, scenario.footprints())
+        walls.setflags(write=False)
+        by_source[key] = walls
+    return by_source[key]
+
+
+def _radiate(scenario: Scenario, sources: Sequence[_Source], points: np.ndarray,
+             wall_loss_db: float) -> np.ndarray:
     """Complex field components (3, M) radiated by the sources at the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    wavelength = scenario.wavelength
     total = np.zeros((3, len(points)), dtype=np.complex128)
     for src in sources:
         if src.power_w <= 0.0:
@@ -141,7 +162,7 @@ def _radiate(sources: Sequence[_Source], points: np.ndarray, wavelength: float,
         directions = delta / dist[:, None]
         gain_db = src.pattern.gain_dbi(directions)
         eirp = src.power_w * 10.0 ** (gain_db / 10.0)
-        walls = count_blocking_footprints(src.position, points, footprints)
+        walls = _wall_counts(scenario, src.position, points)
         loss = 10.0 ** (-wall_loss_db * walls / 20.0)
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
@@ -198,12 +219,10 @@ def reference_field(scenario: Scenario, *,
     """Field of the BTS alone over the grid, one slab per time instant."""
     grid = scenario.grid
     points = grid.centers()
-    footprints = scenario.footprints()
     values = np.empty((scenario.time_instants, 3, grid.ny, grid.nx),
                       dtype=np.complex128)
     for t in range(scenario.time_instants):
-        flat = _radiate(_bts_sources(scenario, t), points, scenario.wavelength,
-                        footprints, wall_loss_db)
+        flat = _radiate(scenario, _bts_sources(scenario, t), points, wall_loss_db)
         values[t] = flat.reshape(3, grid.ny, grid.nx)
     return FieldGrid(grid=grid, values=values)
 
@@ -212,11 +231,9 @@ def point_power_dbm(scenario: Scenario, points, *,
                     wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> np.ndarray:
     """BTS-only received power at arbitrary 3D points, shape (T, M) in dBm."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    footprints = scenario.footprints()
     out = np.empty((scenario.time_instants, len(points)))
     for t in range(scenario.time_instants):
-        flat = _radiate(_bts_sources(scenario, t), points, scenario.wavelength,
-                        footprints, wall_loss_db)
+        flat = _radiate(scenario, _bts_sources(scenario, t), points, wall_loss_db)
         out[t] = watts_to_dbm(fields_to_power_watts(flat, scenario.wavelength))
     return out
 
@@ -239,7 +256,6 @@ def see_contribution(scenario: Scenario, site: CandidateSite, kind: SeeType,
         raise ValueError("roi_targets must provide one 3D point per time instant")
     grid = scenario.grid
     points = grid.centers()
-    footprints = scenario.footprints()
     wavelength = scenario.wavelength
     position = np.asarray(site.position, dtype=float)
     bts_pos = np.asarray(scenario.bts.position, dtype=float)
@@ -277,7 +293,7 @@ def see_contribution(scenario: Scenario, site: CandidateSite, kind: SeeType,
                           max_gain_dbi=float(10.0 * np.log10(gain)))
         src = _Source(position=position, power_w=power_w, pattern=beam,
                       extra_path_m=extra)
-        values[t] = _radiate([src], points, wavelength, footprints,
+        values[t] = _radiate(scenario, [src], points,
                              wall_loss_db).reshape(3, grid.ny, grid.nx)
     return FieldGrid(grid=grid, values=values)
 
@@ -489,7 +505,8 @@ def export_power_csv(db: MapDatabase, genes, t: int, path,
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("x_m,y_m,power_dbm\n")
-        for xi, yi, p in zip(x, y, power.ravel()):
+        # Python scalars: numpy 2 scalars repr as np.float64(...).
+        for xi, yi, p in zip(x.tolist(), y.tolist(), power.ravel().tolist()):
             fh.write(f"{xi!r},{yi!r},{p!r}\n")
 
 

@@ -406,5 +406,6 @@ def write_region_raster_csv(mask: np.ndarray, grid: GridSpec, path,
         fh.write("x_m,y_m,inside\n")
         iy, ix = np.mgrid[0:grid.ny, 0:grid.nx]
         x, y = grid.cell_xy(iy.ravel(), ix.ravel())
-        for xi, yi, v in zip(x, y, mask.ravel()):
+        # Python scalars: numpy 2 scalars repr as np.float64(...).
+        for xi, yi, v in zip(x.tolist(), y.tolist(), mask.ravel().tolist()):
             fh.write(f"{xi!r},{yi!r},{int(v)}\n")

@@ -171,3 +171,26 @@ def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2
     assert main(["frobnicate"] + base) == 2
+
+
+# Columns that hold words or gene lists; every other cell is a number.
+TEXT_COLUMNS = {"kind_class", "verdict", "reason", "solution", "coverage_units",
+                "genes"}
+
+
+def test_every_csv_cell_is_a_plain_number(workspace):
+    scenario, out, base = workspace
+    for stage in (["sites"], ["dbgen"], ["optimize"] + FAST_GA, ["report"]):
+        assert main(stage + base) == 0
+    tables = sorted(out.glob("*.csv"))
+    names = {path.name for path in tables}
+    assert {"region_ems_roi1.csv", "map_best_coverage.csv"} <= names
+    for path in tables:
+        header, *rows = [row.split(",") for row in read_rows(path)]
+        assert rows, path.name
+        for row in rows:
+            for column, cell in zip(header, row):
+                if column == "genes":
+                    list(map(int, cell.split(";")))
+                elif column not in TEXT_COLUMNS:
+                    float(cell)  # raises on np.float64(...) and other reprs

@@ -1,5 +1,8 @@
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
+from occlusion_oracle import brute_force_counts
 from semeplan.geometry import count_blocking_footprints, polygon_is_simple
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
@@ -51,3 +54,87 @@ def test_multiple_buildings_accumulate():
     origin = np.array([0.0, 0.0, 10.0])
     targets = np.array([[60.0, 0.0, 1.5]])
     assert count_blocking_footprints(origin, targets, fps).tolist() == [2]
+
+
+def test_long_wall_blocks_target_nearer_than_its_corners():
+    # Facing the middle of a 200 m wall from 1 m away, a target 6 m out is
+    # beyond the wall yet far nearer than either corner (about 100 m).
+    wall = [(np.array([[-100.0, 0.0], [100.0, 0.0], [100.0, 2.0],
+                       [-100.0, 2.0]]), 30.0)]
+    origin = np.array([0.0, -1.0, 10.0])
+    targets = np.array([[0.0, 5.0, 1.5], [3.0, 4.0, 1.5], [0.0, -0.5, 1.5],
+                        [0.0, 5e-7, 1.5]])  # last: just past the wall
+    counts = count_blocking_footprints(origin, targets, wall)
+    assert counts.tolist() == [1, 1, 0, 1]
+    assert counts.tolist() == brute_force_counts(origin, targets, wall).tolist()
+
+
+# Integer coordinates put targets exactly on vertices and on the lines that
+# extend the edges, where the edge parameter sits at its tolerance.
+coord = st.integers(-12, 12).map(float)
+size = st.integers(1, 8).map(float)
+
+
+@st.composite
+def footprints(draw):
+    x0, y0, w, h = draw(coord), draw(coord), draw(size), draw(size)
+    if draw(st.booleans()):
+        polygon = [[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]
+    else:  # L shape: a notch cut from the top-right corner
+        w1 = draw(st.integers(1, 8).map(float))
+        h1 = draw(st.integers(1, 8).map(float))
+        polygon = [[x0, y0], [x0 + w + w1, y0], [x0 + w + w1, y0 + h1],
+                   [x0 + w, y0 + h1], [x0 + w, y0 + h + h1], [x0, y0 + h + h1]]
+    if draw(st.booleans()):
+        polygon = polygon[::-1]  # clockwise
+    return np.array(polygon), float(draw(st.integers(2, 40)))
+
+
+def _on_edge(polygon, i, lam):
+    a, b = polygon[i], polygon[(i + 1) % len(polygon)]
+    return a + lam * (b - a)
+
+
+@st.composite
+def occlusion_cases(draw):
+    fps = draw(st.lists(footprints(), min_size=1, max_size=4))
+    polygon = fps[0][0]
+    i = draw(st.integers(0, len(polygon) - 1))
+    origin_xy = draw(st.sampled_from([
+        np.array([draw(coord), draw(coord)]),          # anywhere
+        _on_edge(polygon, i, draw(st.sampled_from([0.0, 0.5, 0.25]))),  # on a wall
+        polygon[[i, (i + 2) % len(polygon)]].mean(axis=0),  # inside or across
+    ]))
+    origin = np.append(origin_xy, float(draw(st.integers(1, 45))))
+    points = [np.array([draw(coord), draw(coord)]) for _ in range(20)]
+    for poly, _ in fps:  # vertices and points on the extended edge lines
+        points += list(poly)
+        points += [_on_edge(poly, j, float(draw(st.integers(-3, 4))) / 2.0)
+                   for j in range(len(poly))]
+    heights = draw(st.lists(st.integers(0, 45), min_size=len(points),
+                            max_size=len(points)))
+    targets = np.column_stack([np.array(points), np.array(heights, float)])
+    return origin, targets, fps
+
+
+@given(occlusion_cases())
+def test_culled_counts_equal_brute_force(case):
+    origin, targets, fps = case
+    np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
+                                  brute_force_counts(origin, targets, fps))
+
+
+@given(footprints(), st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 1.0))
+def test_culled_counts_equal_brute_force_on_rotated_footprints(fp, angle, lam):
+    # Off-axis edges give non-integer vertices; origins on a wall and inside.
+    c, s = np.cos(angle), np.sin(angle)
+    polygon = fp[0] @ np.array([[c, s], [-s, c]])
+    fps = [(polygon, fp[1])]
+    ring = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    xy = np.vstack([30.0 * np.column_stack([np.cos(ring), np.sin(ring)]), polygon])
+    targets = np.column_stack([xy, np.full(len(xy), 1.5)])
+    for origin_xy in (_on_edge(polygon, 0, lam), polygon.mean(axis=0),
+                      polygon[0] + 3.0 * (polygon[0] - polygon.mean(axis=0))):
+        origin = np.append(origin_xy, 5.0)
+        np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
+                                      brute_force_counts(origin, targets, fps))

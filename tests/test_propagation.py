@@ -1,3 +1,6 @@
+import copy
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
                                   point_power_dbm, save_database,
                                   sector_gain, see_contribution)
 from semeplan.scenario import BtsSector, scenario_from_dict
+from semeplan.synthetic import demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE, watts_to_dbm
 
 SECTOR = BtsSector(azimuth_deg=30.0, downtilt_deg=5.0, tx_power_w=20.0,
@@ -259,3 +263,67 @@ def test_power_map_dbm_matches_watts(coverable):
     np.testing.assert_allclose(d, watts_to_dbm(w), rtol=1e-12)
     iy, ix = 3, 7
     assert received_power(db, genes, (iy, ix), 0) == pytest.approx(d[iy, ix])
+
+
+def _every_kind_everywhere(sc):
+    """Every admissible (site, kind) pair, each aimed at its own point."""
+    return {(n, s): _targets(sc, [60.0 + 10.0 * n, 40.0 + 5.0 * s, 1.5])
+            for n in range(len(sc.sites)) for s in sc.admissible_kind_values(n)}
+
+
+def test_database_equals_fresh_calls_in_both_modes():
+    # The demo town has three sectors per instant at one base station and
+    # up to four kinds per site, so wall counts are shared within a build.
+    doc = demo_scenario()
+    sc = scenario_from_dict(doc)
+    assignments = _every_kind_everywhere(sc)
+    assert max(sum(1 for key in assignments if key[0] == n)
+               for n in range(len(sc.sites))) >= 3
+    dbs = {mode: build_database(sc, assignments, mode=mode)
+           for mode in ("coherent", "incoherent")}
+    alive = weakref.ref(sc)
+    del sc
+    assert alive() is None  # nothing holds the scenario, the memo included
+    # A scenario of its own per call: no counts from another call reach it.
+    reference = reference_field(scenario_from_dict(doc))
+    fresh = {}
+    for (n, s), targets in assignments.items():
+        own = scenario_from_dict(doc)
+        fresh[(n, s)] = see_contribution(own, own.sites[n], own.catalog[s - 1],
+                                         targets)
+    for db in dbs.values():
+        assert np.array_equal(db.reference.values, reference.values)
+        assert sorted(db.entries) == sorted(fresh)
+        for key, entry in fresh.items():
+            assert np.array_equal(db.entries[key].values, entry.values), key
+
+
+def test_sectors_sharing_the_base_station_superpose_exactly():
+    # Each single-sector scenario differs from the others, so none shares
+    # wall counts; their fields add up to the three-sector field bit for bit.
+    doc = demo_scenario()
+    total = reference_field(scenario_from_dict(doc)).values
+    instants = doc["bts"]["time_instants"]
+    summed = 0.0
+    for k in range(len(instants[0]["sectors"])):
+        single = copy.deepcopy(doc)
+        for instant in single["bts"]["time_instants"]:
+            instant["sectors"] = instant["sectors"][k:k + 1]
+        summed = summed + reference_field(scenario_from_dict(single)).values
+    assert np.array_equal(total, summed)
+
+
+def test_wall_counts_do_not_leak_between_scenarios():
+    # Same base station and sites, different buildings, both alive at once.
+    doc = demo_scenario()
+    moved = copy.deepcopy(doc)
+    for building in moved["buildings"]:
+        building["footprint"] = [[x + 7.0, y - 3.0] for x, y in building["footprint"]]
+    sc, other = scenario_from_dict(doc), scenario_from_dict(moved)
+    assignments = _every_kind_everywhere(sc)
+    db = build_database(sc, assignments)
+    db_other = build_database(other, assignments)
+    assert not np.array_equal(db.reference.values, db_other.reference.values)
+    for key in assignments:
+        assert not np.array_equal(db.entries[key].values,
+                                  db_other.entries[key].values), key
