@@ -8,10 +8,13 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import ndimage
 
+from .csvfile import write_csv
 from .nsga2 import ArchiveEntry, ParetoArchive
-from .propagation import MapDatabase, power_map_dbm
+from .propagation import (FieldGrid, MapDatabase, fields_to_power_watts,
+                          power_map_dbm)
 from .scenario import SeeType
 from .siteplanner import Roi
+from .units import watts_to_dbm
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -67,6 +70,15 @@ def extract_blindspot(power_dbm: np.ndarray, pth_dbm: float,
     components = tuple(_label_components(masks[t], min_cells)
                        for t in range(power_dbm.shape[0]))
     return BlindSpot(masks=masks, components=components, min_cells=min_cells)
+
+
+def reference_blindspot(reference: FieldGrid, wavelength: float, pth_dbm: float,
+                        min_cells: int = 4) -> tuple[np.ndarray, BlindSpot]:
+    """(T, ny, nx) dBm power of a reference field and its blind spot."""
+    power = np.stack([watts_to_dbm(fields_to_power_watts(reference.values[t],
+                                                         wavelength))
+                      for t in range(reference.time_instants)])
+    return power, extract_blindspot(power, pth_dbm, min_cells=min_cells)
 
 
 def empirical_cdf(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -224,15 +236,6 @@ def summarize_solution(name: str, entry: ArchiveEntry,
                            total_cost=cost, total_energy_w=energy)
 
 
-def _write_csv(path, header_lines, columns, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -256,7 +259,7 @@ def write_solution_table(summaries: Sequence[SolutionSummary], path,
                     + [str(counts[k]) for k in kinds]
                     + [_fmt(s.total_cost), _fmt(s.total_energy_w),
                        ";".join(str(g) for g in s.genes)])
-    _write_csv(path, header_lines, columns, rows)
+    write_csv(path, header_lines, columns, rows)
 
 
 def write_reduction_table(stats_by_solution: Mapping[str, Sequence[RoiReduction]],
@@ -274,14 +277,14 @@ def write_reduction_table(stats_by_solution: Mapping[str, Sequence[RoiReduction]
                          _fmt(r.gain_min_db), _fmt(r.gain_max_db),
                          _fmt(r.gain_avg_db), _fmt(r.drop_min_db),
                          _fmt(r.drop_max_db), _fmt(r.drop_avg_db)])
-    _write_csv(path, header_lines, columns, rows)
+    write_csv(path, header_lines, columns, rows)
 
 
 def write_cdf_csv(thresholds: np.ndarray, probabilities: np.ndarray, path,
                   header_lines: Sequence[str] = ()) -> None:
     rows = [[_fmt(float(p)), _fmt(float(c))]
             for p, c in zip(thresholds, probabilities)]
-    _write_csv(path, header_lines, ["power_dbm", "cdf"], rows)
+    write_csv(path, header_lines, ["power_dbm", "cdf"], rows)
 
 
 def write_archive_csv(archive: ParetoArchive, path,
@@ -289,7 +292,7 @@ def write_archive_csv(archive: ParetoArchive, path,
     columns = ["coverage_deficit", "cost_fraction", "energy_fraction", "genes"]
     rows = [[_fmt(e.objectives[0]), _fmt(e.objectives[1]), _fmt(e.objectives[2]),
              ";".join(str(g) for g in e.genes)] for e in archive]
-    _write_csv(path, header_lines, columns, rows)
+    write_csv(path, header_lines, columns, rows)
 
 
 def read_archive_csv(path) -> ParetoArchive:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, nsga2, objectives, propagation, siteplanner
+from .csvfile import replaced_atomically, write_csv
 from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -64,45 +65,35 @@ def _headers(scenario_hash: str, config: RunConfig) -> list[str]:
     return [f"scenario_hash={scenario_hash}", f"config={config.echo()}"]
 
 
-def _prepare(config: RunConfig):
-    """Reference field, blind spot, regions and site plan for a config."""
-    scenario = load_scenario(config.scenario_path)
+def _prepare(config: RunConfig, scenario: Scenario):
+    """Regions, feasibility report and site plan for a config."""
     reference = propagation.reference_field(scenario,
                                             wall_loss_db=config.wall_loss_db)
-    power = np.stack([
-        propagation.watts_to_dbm(propagation.fields_to_power_watts(
-            reference.values[t], scenario.wavelength))
-        for t in range(scenario.time_instants)])
-    blindspot = analysis.extract_blindspot(power, config.pth_dbm,
-                                           min_cells=config.roi_min_cells)
+    _, blindspot = analysis.reference_blindspot(
+        reference, scenario.wavelength, config.pth_dbm, config.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
     report, plan = siteplanner.qualify_sites(scenario, rois, config.pth_dbm,
                                              wall_loss_db=config.wall_loss_db)
-    return scenario, reference, power, blindspot, rois, report, plan
+    return rois, report, plan
 
 
 def _db_path(config: RunConfig) -> str:
     return os.path.join(config.out_dir, "mapdb.bin")
 
 
-def _db_is_current(path: str, scenario: Scenario, config: RunConfig) -> bool:
-    if not os.path.exists(path):
-        return False
-    try:
-        db = propagation.load_database(path)
-    except propagation.DatabaseError:
-        return False
-    return (db.meta.scenario_hash == scenario.content_hash()
-            and db.meta.mode == config.mode
-            and db.meta.params_dict() == {k: float(v) for k, v
-                                          in config.db_params().items()})
+def _current_db(config: RunConfig, scenario: Scenario):
+    """The cached database if it matches the scenario and options.
 
-
-def _load_current_db(config: RunConfig, scenario: Scenario):
+    A missing, unreadable, truncated or foreign file, or one built from
+    another scenario or other options, raises StaleCacheError.
+    """
     path = _db_path(config)
     if not os.path.exists(path):
         raise StaleCacheError(f"database {path} is missing; run dbgen first")
-    db = propagation.load_database(path)
+    try:
+        db = propagation.load_database(path)
+    except propagation.DatabaseError as exc:
+        raise StaleCacheError(f"{exc}; rerun dbgen")
     if db.meta.scenario_hash != scenario.content_hash():
         raise StaleCacheError("database was built from a different scenario; "
                               "rerun dbgen")
@@ -118,31 +109,26 @@ def _load_current_db(config: RunConfig, scenario: Scenario):
 
 
 def cmd_sites(config: RunConfig) -> int:
-    scenario, _, _, _, rois, report, plan = _prepare(config)
+    scenario = load_scenario(config.scenario_path)
+    rois, report, plan = _prepare(config, scenario)
     headers = _headers(scenario.content_hash(), config)
     os.makedirs(config.out_dir, exist_ok=True)
     siteplanner.write_feasibility_csv(
         report, os.path.join(config.out_dir, "feasibility.csv"), headers)
-    with open(os.path.join(config.out_dir, "siteplan.json"), "w",
-              encoding="utf-8") as fh:
+    with replaced_atomically(os.path.join(config.out_dir, "siteplan.json")) as fh:
         json.dump({"scenario_hash": scenario.content_hash(),
                    "assignments": plan.to_jsonable()}, fh, sort_keys=True)
         fh.write("\n")
+    active = [k for k in scenario.catalog if k.is_active]
     for roi in rois:
-        ems_mask = siteplanner.region_raster(
-            siteplanner.ems_region(scenario, roi, config.pth_dbm), scenario.grid)
-        siteplanner.write_region_raster_csv(
-            ems_mask, scenario.grid,
-            os.path.join(config.out_dir, f"region_ems_roi{roi.index}.csv"),
-            headers)
-        active = [k for k in scenario.catalog if k.is_active]
+        regions = {"ems": siteplanner.ems_region(scenario, roi, config.pth_dbm)}
         if active:
-            ase_mask = siteplanner.region_raster(
-                siteplanner.ase_region(scenario, roi, active[0], config.pth_dbm),
-                scenario.grid)
+            regions["ase"] = siteplanner.ase_region(scenario, roi, active[0],
+                                                    config.pth_dbm)
+        for name, region in regions.items():
             siteplanner.write_region_raster_csv(
-                ase_mask, scenario.grid,
-                os.path.join(config.out_dir, f"region_ase_roi{roi.index}.csv"),
+                siteplanner.region_raster(region, scenario.grid), scenario.grid,
+                os.path.join(config.out_dir, f"region_{name}_roi{roi.index}.csv"),
                 headers)
     print(f"sites: {len(report)} verdicts, {len(rois)} regions, "
           f"{sum(len(a) for a in plan.assignments)} feasible pairs")
@@ -150,18 +136,21 @@ def cmd_sites(config: RunConfig) -> int:
 
 
 def cmd_dbgen(config: RunConfig) -> int:
-    scenario, reference, _, _, rois, _, plan = _prepare(config)
+    scenario = load_scenario(config.scenario_path)
     path = _db_path(config)
+    if not config.force:
+        try:
+            _current_db(config, scenario)
+            print(f"dbgen: cache hit, {path} is current")
+            return EXIT_OK
+        except StaleCacheError:
+            pass
+    rois, _, plan = _prepare(config, scenario)
     os.makedirs(config.out_dir, exist_ok=True)
-    if not config.force and _db_is_current(path, scenario, config):
-        print(f"dbgen: cache hit, {path} is current")
-        return EXIT_OK
     db = propagation.build_database(
         scenario, plan.db_assignments(rois, scenario.grid.height),
         mode=config.mode, wall_loss_db=config.wall_loss_db,
-        params={"pth_dbm": config.pth_dbm,
-                "roi_min_cells": float(config.roi_min_cells)},
-        plan_blob={"assignments": plan.to_jsonable()})
+        params=config.db_params(), plan_blob={"assignments": plan.to_jsonable()})
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
     return EXIT_OK
@@ -180,12 +169,10 @@ def _ga_config(config: RunConfig, n_sites: int, seed: int) -> nsga2.GaConfig:
 
 def cmd_optimize(config: RunConfig) -> int:
     scenario = load_scenario(config.scenario_path)
-    db = _load_current_db(config, scenario)
+    db = _current_db(config, scenario)
     plan = siteplanner.SitePlan.from_jsonable(db.plan_blob["assignments"])
-    power = np.stack([propagation.power_map_dbm(db, np.zeros(scenario.n_sites, int), t)
-                      for t in range(db.time_instants)])
-    blindspot = analysis.extract_blindspot(power, config.pth_dbm,
-                                           min_cells=config.roi_min_cells)
+    _, blindspot = analysis.reference_blindspot(
+        db.reference, db.wavelength, config.pth_dbm, config.roi_min_cells)
     evaluator = objectives.Evaluator(
         db, blindspot.cells_per_t(), config.pth_dbm, scenario.catalog, plan,
         normalized=config.coverage_units == "normalized")
@@ -201,13 +188,11 @@ def cmd_optimize(config: RunConfig) -> int:
         analysis.write_archive_csv(result.archive, archive_path,
                                    headers + [f"seed={seed}"])
         trace_path = os.path.join(config.out_dir, f"trace{suffix}.csv")
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            for line in headers + [f"seed={seed}"]:
-                fh.write(f"# {line}\n")
-            fh.write("generation,front_size,min_coverage,min_cost,min_energy\n")
-            for row in result.trace:
-                fh.write(f"{row.generation},{row.front_size},{row.best[0]!r},"
-                         f"{row.best[1]!r},{row.best[2]!r}\n")
+        write_csv(trace_path, headers + [f"seed={seed}"],
+                  ["generation", "front_size", "min_coverage", "min_cost",
+                   "min_energy"],
+                  ((str(row.generation), str(row.front_size),
+                    *(repr(b) for b in row.best)) for row in result.trace))
         best = min(e.objectives[0] for e in result.archive)
         summary_rows.append((seed, len(result.archive), best))
         print(f"optimize: seed {seed} -> {len(result.archive)} front members, "
@@ -220,24 +205,20 @@ def cmd_optimize(config: RunConfig) -> int:
                "crossover": config.crossover,
                "mutation_rate": config.mutation_rate},
     }
-    with open(os.path.join(config.out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
+    with replaced_atomically(os.path.join(config.out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if config.restarts > 1:
-        with open(os.path.join(config.out_dir, "restarts_summary.csv"), "w",
-                  encoding="utf-8") as fh:
-            for line in headers:
-                fh.write(f"# {line}\n")
-            fh.write("seed,front_size,min_coverage\n")
-            for seed, size, best in summary_rows:
-                fh.write(f"{seed},{size},{best!r}\n")
+        write_csv(os.path.join(config.out_dir, "restarts_summary.csv"), headers,
+                  ["seed", "front_size", "min_coverage"],
+                  ((str(seed), str(size), repr(best))
+                   for seed, size, best in summary_rows))
     return EXIT_OK
 
 
 def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
     scenario = load_scenario(config.scenario_path)
-    db = _load_current_db(config, scenario)
+    db = _current_db(config, scenario)
     archive_path = archive_path or os.path.join(config.out_dir, "archive.csv")
     if not os.path.exists(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing; "
@@ -246,11 +227,8 @@ def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
     if len(archive) == 0:
         print("report: archive is empty", file=sys.stderr)
         return EXIT_RUNTIME
-    ref_genes = np.zeros(scenario.n_sites, int)
-    ref_power = np.stack([propagation.power_map_dbm(db, ref_genes, t)
-                          for t in range(db.time_instants)])
-    blindspot = analysis.extract_blindspot(ref_power, config.pth_dbm,
-                                           min_cells=config.roi_min_cells)
+    ref_power, blindspot = analysis.reference_blindspot(
+        db.reference, db.wavelength, config.pth_dbm, config.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
     headers = _headers(scenario.content_hash(), config)
     os.makedirs(config.out_dir, exist_ok=True)

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvfile import replaced_atomically, write_grid_csv
 from .geometry import count_blocking_footprints
 from .scenario import BtsSector, CandidateSite, GridSpec, Scenario, SeeType
 from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
@@ -443,7 +444,7 @@ def save_database(db: MapDatabase, path) -> None:
     header = json.dumps(_header_dict(db), sort_keys=True,
                         separators=(",", ":")).encode()
     try:
-        with open(path, "wb") as fh:
+        with replaced_atomically(path, "wb") as fh:
             fh.write(_DB_MAGIC)
             fh.write(np.array(len(header), dtype="<u4").tobytes())
             fh.write(header)
@@ -461,19 +462,32 @@ def load_database(path) -> MapDatabase:
             blob = fh.read()
     except OSError as exc:
         raise DatabaseError(f"cannot read database {path}: {exc}")
-    if blob[:len(_DB_MAGIC)] != _DB_MAGIC:
+    offset = len(_DB_MAGIC) + 4
+    if len(blob) < offset or blob[:len(_DB_MAGIC)] != _DB_MAGIC:
         raise DatabaseError(f"{path} is not a map database file")
-    offset = len(_DB_MAGIC)
-    header_len = int(np.frombuffer(blob, dtype="<u4", count=1, offset=offset)[0])
-    offset += 4
-    header = json.loads(blob[offset:offset + header_len].decode())
+    header_len = int.from_bytes(blob[len(_DB_MAGIC):offset], "little")
+    if len(blob) < offset + header_len:
+        raise DatabaseError(f"{path} is truncated inside its header")
+    try:
+        header = json.loads(blob[offset:offset + header_len].decode())
+        g = header["grid"]
+        grid = GridSpec(origin=tuple(g["origin"]), spacing=g["spacing_m"],
+                        nx=g["nx"], ny=g["ny"], height=g["height_m"])
+        shape = (header["time_instants"], 3, grid.ny, grid.nx)
+        count = int(np.prod(shape))
+        keys = [(int(n), int(s)) for n, s in header["entries"]]
+        meta = DbMeta(scenario_hash=header["metadata"]["scenario_hash"],
+                      mode=header["metadata"]["mode"],
+                      params=tuple(sorted((k, float(v)) for k, v
+                                   in header["metadata"]["params"].items())))
+        wavelength = header["wavelength_m"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DatabaseError(f"{path} has a malformed header: {exc!r}")
     offset += header_len
-    g = header["grid"]
-    grid = GridSpec(origin=tuple(g["origin"]), spacing=g["spacing_m"],
-                    nx=g["nx"], ny=g["ny"], height=g["height_m"])
-    t = header["time_instants"]
-    shape = (t, 3, grid.ny, grid.nx)
-    count = int(np.prod(shape))
+    expected = offset + (1 + len(keys)) * count * np.dtype("<c8").itemsize
+    if len(blob) != expected:
+        raise DatabaseError(f"{path} is {len(blob)} bytes, its header "
+                            f"describes {expected}")
 
     def read_grid():
         nonlocal offset
@@ -483,14 +497,8 @@ def load_database(path) -> MapDatabase:
                          values=raw.reshape(shape).astype(np.complex128))
 
     reference = read_grid()
-    entries = {}
-    for n, s in header["entries"]:
-        entries[(int(n), int(s))] = read_grid()
-    meta = DbMeta(scenario_hash=header["metadata"]["scenario_hash"],
-                  mode=header["metadata"]["mode"],
-                  params=tuple(sorted((k, float(v)) for k, v
-                               in header["metadata"]["params"].items())))
-    return MapDatabase(grid=grid, wavelength=header["wavelength_m"],
+    entries = {key: read_grid() for key in keys}
+    return MapDatabase(grid=grid, wavelength=wavelength,
                        reference=reference, entries=entries, meta=meta,
                        plan_blob=header.get("plan", {}))
 
@@ -499,15 +507,8 @@ def export_power_csv(db: MapDatabase, genes, t: int, path,
                      header_lines: Sequence[str] = ()) -> None:
     """Write one (x, y, power dBm) row per grid cell, row-major order."""
     power = power_map_dbm(db, genes, t)
-    iy, ix = np.mgrid[0:db.grid.ny, 0:db.grid.nx]
-    x, y = db.grid.cell_xy(iy.ravel(), ix.ravel())
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x_m,y_m,power_dbm\n")
-        # Python scalars: numpy 2 scalars repr as np.float64(...).
-        for xi, yi, p in zip(x.tolist(), y.tolist(), power.ravel().tolist()):
-            fh.write(f"{xi!r},{yi!r},{p!r}\n")
+    write_grid_csv(path, header_lines, db.grid, "power_dbm",
+                   map(repr, power.ravel().tolist()))
 
 
 def database_fingerprint(db: MapDatabase) -> str:

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import propagation
+from .csvfile import write_csv, write_grid_csv
 from .scenario import CandidateSite, GridSpec, Scenario, SeeType
 from .units import dbm_to_watts
 
@@ -291,19 +292,9 @@ class SitePlan:
     def kind_values(self, site: int) -> tuple[int, ...]:
         return tuple(s for s, _ in self.assignments[site])
 
-    def roi_for(self, site: int, gene_value: int) -> int | None:
-        for s, w in self.assignments[site]:
-            if s == gene_value:
-                return w
-        return None
-
     def alphabets(self) -> tuple[tuple[int, ...], ...]:
         """Per-site gene alphabets including the no-device value 0."""
         return tuple((0,) + self.kind_values(n) for n in range(self.n_sites))
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(n, s) for n in range(self.n_sites)
-                for s, _ in self.assignments[n]]
 
     def db_assignments(self, rois: Sequence[Roi], height: float) -> dict:
         by_index = {r.index: r for r in rois}
@@ -388,24 +379,14 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
 def write_feasibility_csv(report: FeasibilityReport, path,
                           header_lines: Sequence[str] = ()) -> None:
     """CSV rows (site_id, roi, class, verdict, reason); site ids are 1-based."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("site_id,roi,kind_class,verdict,reason\n")
-        for row in report:
-            verdict = "feasible" if row.feasible else "excluded"
-            fh.write(f"{row.site + 1},{row.roi},{row.kind_class},"
-                     f"{verdict},{row.reason}\n")
+    write_csv(path, header_lines,
+              ["site_id", "roi", "kind_class", "verdict", "reason"],
+              ((str(row.site + 1), str(row.roi), row.kind_class,
+                "feasible" if row.feasible else "excluded", row.reason)
+               for row in report))
 
 
 def write_region_raster_csv(mask: np.ndarray, grid: GridSpec, path,
                             header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x_m,y_m,inside\n")
-        iy, ix = np.mgrid[0:grid.ny, 0:grid.nx]
-        x, y = grid.cell_xy(iy.ravel(), ix.ravel())
-        # Python scalars: numpy 2 scalars repr as np.float64(...).
-        for xi, yi, v in zip(x.tolist(), y.tolist(), mask.ravel().tolist()):
-            fh.write(f"{xi!r},{yi!r},{int(v)}\n")
+    write_grid_csv(path, header_lines, grid, "inside",
+                   (str(int(v)) for v in mask.ravel().tolist()))

@@ -163,21 +163,16 @@ def benchmark_problem(pth_dbm: float = -65.0):
     """
     import numpy as np
 
-    from .analysis import extract_blindspot
+    from .analysis import reference_blindspot
     from .objectives import Evaluator
-    from .propagation import (DbMeta, FieldGrid, MapDatabase,
-                              fields_to_power_watts, reference_field)
+    from .propagation import DbMeta, FieldGrid, MapDatabase, reference_field
     from .scenario import scenario_from_dict
     from .siteplanner import build_rois, qualify_sites
-    from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
+    from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts
 
     scenario = scenario_from_dict(pareto_toy())
     reference = reference_field(scenario)
-    power = np.stack([
-        watts_to_dbm(fields_to_power_watts(reference.values[t],
-                                           scenario.wavelength))
-        for t in range(scenario.time_instants)])
-    blindspot = extract_blindspot(power, pth_dbm, min_cells=4)
+    _, blindspot = reference_blindspot(reference, scenario.wavelength, pth_dbm)
     rois = build_rois(blindspot.components, scenario.grid)
     _, plan = qualify_sites(scenario, rois, pth_dbm)
 

@@ -19,13 +19,3 @@ def watts_to_dbm(watts):
     watts = np.asarray(watts, dtype=float)
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(watts * 1e3)
-
-
-def db_to_linear(db):
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(linear):
-    linear = np.asarray(linear, dtype=float)
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(linear)

@@ -1,15 +1,12 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from semeplan.analysis import extract_blindspot
+from semeplan.analysis import reference_blindspot
 from semeplan.objectives import Evaluator
-from semeplan.propagation import (build_database, fields_to_power_watts,
-                                  reference_field)
+from semeplan.propagation import build_database, reference_field
 from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import build_rois, qualify_sites
 from semeplan.synthetic import coverable_toy
-from semeplan.units import watts_to_dbm
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -21,12 +18,8 @@ PTH_DBM = -65.0
 def coverable():
     """Fully solved coverable toy: scenario, blind spot, regions, plan, dbs."""
     scenario = scenario_from_dict(coverable_toy())
-    reference = reference_field(scenario)
-    power = np.stack([
-        watts_to_dbm(fields_to_power_watts(reference.values[t],
-                                           scenario.wavelength))
-        for t in range(scenario.time_instants)])
-    blindspot = extract_blindspot(power, PTH_DBM, min_cells=4)
+    power, blindspot = reference_blindspot(reference_field(scenario),
+                                           scenario.wavelength, PTH_DBM)
     rois = build_rois(blindspot.components, scenario.grid)
     report, plan = qualify_sites(scenario, rois, PTH_DBM)
     assignments = plan.db_assignments(rois, scenario.grid.height)

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from semeplan.analysis import (empirical_cdf, extract_blindspot,
-                               reduction_stats, select_representatives)
+from semeplan.analysis import (empirical_cdf, reduction_stats,
+                               reference_blindspot, select_representatives)
 from semeplan.cli import main
 from semeplan.nsga2 import (ArchiveEntry, GaConfig, ParetoArchive, dominates,
                             evolve, fast_nondominated_sort, hypervolume)
@@ -129,7 +129,8 @@ def test_c03_cost_energy_exactness():
 def test_c04_geometry_oracles():
     scenario = scenario_from_dict(pareto_toy())
     rois = [r for r in build_rois(
-        extract_blindspot(_reference_power(scenario), PTH).components,
+        reference_blindspot(reference_field(scenario), scenario.wavelength,
+                            PTH)[1].components,
         scenario.grid)]
     roi = rois[0]
     rng = np.random.default_rng(99)
@@ -177,15 +178,6 @@ def test_c05_range_formula():
     assert abs(got - hand) / hand < 1e-3
     assert got == pytest.approx(1.12e4, rel=0.01)
     report(5, "single-hop range formula matches the dB-domain evaluation")
-
-
-def _reference_power(scenario):
-    from semeplan.propagation import fields_to_power_watts
-    from semeplan.units import watts_to_dbm
-    ref = reference_field(scenario)
-    return np.stack([
-        watts_to_dbm(fields_to_power_watts(ref.values[t], scenario.wavelength))
-        for t in range(scenario.time_instants)])
 
 
 def test_c06_superposition_equivalence():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from semeplan import propagation
 from semeplan.cli import main
 from semeplan.synthetic import coverable_toy, write_scenario
 
@@ -73,6 +74,35 @@ def test_dbgen_cache_hit_and_invalversion(workspace, capsys):
     write_scenario(doc, scenario)
     assert main(["dbgen"] + base) == 0
     assert (out / "mapdb.bin").read_bytes() != first
+
+
+def test_dbgen_cache_hit_skips_the_field_computation(workspace, monkeypatch,
+                                                      capsys):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("reference field computed on a cache hit")
+
+    monkeypatch.setattr(propagation, "reference_field", fail)
+    assert main(["dbgen"] + base) == 0
+    assert "cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_damaged_database_is_stale(workspace, damage):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA) == 0
+    fresh = (out / "mapdb.bin").read_bytes()
+    damaged = (fresh[:len(fresh) // 2] if damage == "truncated"
+               else bytes(range(256)) * 8)
+    (out / "mapdb.bin").write_bytes(damaged)
+    assert main(["optimize"] + base + FAST_GA) == 3
+    assert main(["report"] + base) == 3
+    assert main(["dbgen"] + base) == 0
+    assert (out / "mapdb.bin").read_bytes() == fresh
 
 
 def test_optimize_without_database_is_stale(workspace):
@@ -153,10 +183,19 @@ def test_report_empty_archive_fails(workspace):
 
 def test_outputs_carry_hash_and_config(workspace):
     scenario, out, base = workspace
-    assert main(["sites"] + base) == 0
-    head = (out / "feasibility.csv").read_text().splitlines()[:2]
-    assert head[0].startswith("# scenario_hash=")
-    assert head[1].startswith("# config=")
+    for stage in (["sites"], ["dbgen"],
+                  ["optimize"] + FAST_GA + ["--restarts", "2"],
+                  ["report", "--archive", str(out / "archive_seed3.csv")]):
+        assert main(stage + base) == 0
+    names = {path.name for path in out.glob("*.csv")}
+    assert {"feasibility.csv", "region_ems_roi1.csv", "region_ase_roi1.csv",
+            "archive_seed3.csv", "trace_seed3.csv", "trace_seed4.csv",
+            "restarts_summary.csv", "solutions.csv", "reduction.csv",
+            "map_best_coverage.csv", "cdf_best_coverage_t1.csv"} <= names
+    for name in sorted(names):
+        head = (out / name).read_text().splitlines()[:2]
+        assert head[0].startswith("# scenario_hash="), name
+        assert head[1].startswith("# config="), name
 
 
 def test_lockfile_warns_but_proceeds(workspace, capsys):

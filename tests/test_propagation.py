@@ -234,7 +234,7 @@ def test_database_with_no_feasible_pairs_keeps_reference():
                                                      sc.wavelength))
 
 
-def test_load_database_rejects_foreign_files(tmp_path):
+def test_load_database_rejects_foreign_files(tmp_path, coverable):
     from semeplan.propagation import DatabaseError
     bogus = tmp_path / "bogus.bin"
     bogus.write_bytes(b"definitely not a database")
@@ -242,6 +242,36 @@ def test_load_database_rejects_foreign_files(tmp_path):
         load_database(bogus)
     with pytest.raises(DatabaseError, match="cannot read"):
         load_database(tmp_path / "missing.bin")
+    # truncated in the magic, the header or the grids, or padded
+    good = tmp_path / "good.bin"
+    save_database(coverable["dbs"]["coherent"], good)
+    blob = good.read_bytes()
+    for damaged in (blob[:6], blob[:20], blob[:len(blob) // 2], blob[:-1],
+                    blob + b"\0"):
+        bogus.write_bytes(damaged)
+        with pytest.raises(DatabaseError):
+            load_database(bogus)
+
+
+class _ExplodingGrid:
+    @property
+    def values(self):
+        raise RuntimeError("grid unavailable")
+
+
+def test_failed_save_keeps_previous_database(tmp_path, coverable):
+    db = coverable["dbs"]["coherent"]
+    path = tmp_path / "mapdb.bin"
+    save_database(db, path)
+    before = path.read_bytes()
+    broken = MapDatabase(grid=db.grid, wavelength=db.wavelength,
+                         reference=db.reference,
+                         entries={**db.entries, (9, 9): _ExplodingGrid()},
+                         meta=db.meta)
+    with pytest.raises(RuntimeError, match="grid unavailable"):
+        save_database(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mapdb.bin"]
 
 
 def test_destructive_interference_cancels_exactly():
