@@ -7,7 +7,7 @@ from .propagation import (MapDatabase, build_database, load_database,
                           see_contribution)
 from .siteplanner import (Roi, SitePlan, FeasibilityReport, build_rois,
                           qualify_sites, max_single_hop_range)
-from .objectives import Evaluator, ObjectiveVector, evaluate
+from .objectives import Evaluator, ObjectiveVector
 from .nsga2 import GaConfig, ParetoArchive, evolve, hypervolume
 from .analysis import (BlindSpot, extract_blindspot, coverage_cdf,
                        select_representatives, reduction_stats)

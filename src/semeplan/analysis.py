@@ -2,11 +2,11 @@
 difference-map statistics, and the CSV tables built from them."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .csvfile import write_csv
 from .nsga2 import ArchiveEntry, ParetoArchive
@@ -15,8 +15,6 @@ from .propagation import (FieldGrid, MapDatabase, fields_to_power_watts,
 from .scenario import SeeType
 from .siteplanner import Roi
 from .units import watts_to_dbm
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 REPRESENTATIVE_NAMES = ("best_coverage", "best_compromise",
                         "coverage_cost", "coverage_energy")
@@ -48,16 +46,27 @@ class BlindSpot:
 
 
 def _label_components(mask: np.ndarray, min_cells: int):
-    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+    """8-connected regions of at least `min_cells` cells, each its sorted
+    cells; the row-major scan meets them in the order of their first cell."""
+    ys, xs = np.nonzero(mask)
+    scan = list(zip(ys.tolist(), xs.tolist()))
+    unseen = set(scan)
     comps = []
-    for lbl in range(1, count + 1):
-        ys, xs = np.nonzero(labels == lbl)
-        if len(ys) < min_cells:
+    for start in scan:
+        if start not in unseen:
             continue
-        cells = sorted(zip(ys.tolist(), xs.tolist()))
-        comps.append((min(cells), tuple(cells)))
-    comps.sort(key=lambda item: item[0])  # row-major order of first cell
-    return tuple(cells for _, cells in comps)
+        unseen.remove(start)
+        cells, stack = [], [start]
+        while stack:
+            y, x = stack.pop()
+            cells.append((y, x))
+            for near in itertools.product((y - 1, y, y + 1), (x - 1, x, x + 1)):
+                if near in unseen:
+                    unseen.remove(near)
+                    stack.append(near)
+        if len(cells) >= min_cells:
+            comps.append(tuple(sorted(cells)))
+    return tuple(comps)
 
 
 def extract_blindspot(power_dbm: np.ndarray, pth_dbm: float,

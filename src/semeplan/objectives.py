@@ -12,10 +12,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .propagation import MapDatabase, fields_to_power_watts, power_map_dbm
+from .propagation import MapDatabase, fields_to_power_watts
 from .scenario import SeeType
 from .siteplanner import SitePlan
 from .units import POWER_FLOOR_DBM, watts_to_dbm
+
+
+# Chromosomes an Evaluator remembers; the oldest is dropped first.  Scoring is
+# pure, so the limit bounds memory and cannot change a result.
+_MEMO_LIMIT = 1 << 16
 
 
 class ObjectiveVector(NamedTuple):
@@ -68,53 +73,16 @@ def _deficit(power_dbm: np.ndarray, pth_dbm: float) -> np.ndarray:
     return np.where(short > 0.0, short / abs(pth_dbm), 0.0)
 
 
-def coverage_deficit(db: MapDatabase, genes, cells_per_t: Sequence[np.ndarray],
-                     pth_dbm: float, *, normalized: bool = False) -> float:
-    """Area-weighted shortfall below the threshold over the blind spot.
-
-    `cells_per_t` lists the blind-spot cells (iy, ix) of the reference
-    scenario at each instant.  With `normalized` the per-instant sum is
-    divided by the blind-spot area instead of carrying m^2 units.
-    """
-    t_count = db.time_instants
-    if all(len(c) == 0 for c in cells_per_t):
-        warnings.warn("blind spot is empty at every instant; deficit is 0")
-        return 0.0
-    cell_area = db.grid.cell_area
-    total = 0.0
-    for t in range(t_count):
-        cells = np.asarray(cells_per_t[t], dtype=int)
-        if cells.size == 0:
-            continue
-        power = power_map_dbm(db, genes, t)[cells[:, 0], cells[:, 1]]
-        deficit = _deficit(power, pth_dbm).sum() * cell_area
-        if normalized:
-            deficit /= len(cells) * cell_area
-        total += deficit
-    return total / t_count
-
-
-def evaluate(db: MapDatabase, genes, cells_per_t, pth_dbm: float,
-             catalog: Sequence[SeeType], plan: SitePlan,
-             *, normalized: bool = False) -> tuple[np.ndarray, ObjectiveVector]:
-    """Repair the chromosome and score all three objectives."""
-    repaired = repair(genes, plan)
-    vec = ObjectiveVector(
-        coverage=coverage_deficit(db, repaired, cells_per_t, pth_dbm,
-                                  normalized=normalized),
-        cost=cost_fraction(repaired, catalog, plan),
-        energy=energy_fraction(repaired, catalog, plan),
-    )
-    return repaired, vec
-
-
 class Evaluator:
     """Fast chromosome scorer over a fixed database and blind spot.
 
     Precomputes every entry's complex field (and per-entry power, for the
     incoherent mode) restricted to the blind-spot cells, so one call is a
     handful of small array sums.  Pure: identical inputs give identical
-    outputs, safe to share read-only across workers.
+    outputs, so each result is memoized on the incoming genes, as the
+    read-only repaired genes and the objective vector.  The memo holds the
+    last `_MEMO_LIMIT` chromosomes added and has no lock: one instance
+    serves one thread.
     """
 
     def __init__(self, db: MapDatabase, cells_per_t, pth_dbm: float,
@@ -147,6 +115,7 @@ class Evaluator:
             for key, fields in self._entry_fields.items()}
         self._max_cost = max_cost(self.catalog, plan)
         self._max_energy = max_energy(self.catalog, plan)
+        self._memo: dict[tuple[int, ...], tuple[np.ndarray, ObjectiveVector]] = {}
 
     def _coverage(self, genes: np.ndarray) -> float:
         selected = [(n, int(s)) for n, s in enumerate(genes) if s != 0]
@@ -172,7 +141,12 @@ class Evaluator:
         return total / self.db.time_instants
 
     def __call__(self, genes) -> tuple[np.ndarray, ObjectiveVector]:
-        repaired = repair(genes, self.plan)
+        key = tuple(np.asarray(genes, dtype=int).tolist())
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        repaired = repair(key, self.plan)
+        repaired.flags.writeable = False
         cost = installed_cost(repaired, self.catalog)
         energy = installed_energy(repaired, self.catalog)
         vec = ObjectiveVector(
@@ -180,4 +154,7 @@ class Evaluator:
             cost=cost / self._max_cost if self._max_cost > 0 else 0.0,
             energy=energy / self._max_energy if self._max_energy > 0 else 0.0,
         )
+        self._memo[key] = repaired, vec
+        if len(self._memo) > _MEMO_LIMIT:
+            del self._memo[next(iter(self._memo))]
         return repaired, vec

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import semeplan
 from semeplan import propagation
 from semeplan.cli import main
 from semeplan.synthetic import coverable_toy, write_scenario
@@ -233,3 +236,13 @@ def test_every_csv_cell_is_a_plain_number(workspace):
                     list(map(int, cell.split(";")))
                 elif column not in TEXT_COLUMNS:
                     float(cell)  # raises on np.float64(...) and other reprs
+
+
+def test_cli_starts_without_scipy():
+    # scipy is a test dependency only; importing it costs every stage ~0.4 s.
+    src = os.path.dirname(os.path.dirname(semeplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", "import semeplan.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=120)

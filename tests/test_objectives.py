@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semeplan.objectives import (cost_fraction, coverage_deficit,
-                                 energy_fraction, evaluate, installed_cost,
-                                 installed_energy, max_cost, max_energy,
-                                 repair)
+from semeplan import objectives
+from semeplan.objectives import (Evaluator, cost_fraction, energy_fraction,
+                                 installed_cost, installed_energy, max_cost,
+                                 max_energy, repair)
 from dbtools import tiny_db
+from objectives_oracle import coverage_deficit, evaluate
 from semeplan.scenario import SeeType
 from semeplan.siteplanner import SitePlan
 from semeplan.synthetic import DEFAULT_CATALOG
@@ -104,6 +105,64 @@ def test_evaluate_is_pure(coverable_evaluators):
     a = ev(np.array([2, 3]))[1]
     b = ev(np.array([2, 3]))[1]
     assert a == b
+
+
+def _fresh_evaluator(coverable, mode):
+    return Evaluator(coverable["dbs"][mode], coverable["blindspot"].cells_per_t(),
+                     PTH, coverable["scenario"].catalog, coverable["plan"])
+
+
+def _gene_stream(coverable, count=60, seed=5):
+    """Chromosomes over a small alphabet, so many of them repeat."""
+    rng = np.random.default_rng(seed)
+    stream = list(rng.integers(0, 5, size=(count, coverable["scenario"].n_sites)))
+    assert len({tuple(g) for g in stream}) < count
+    return stream
+
+
+def _same_bits(got, want):
+    assert got[0].tolist() == want[0].tolist()
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+def test_warm_evaluator_equals_fresh_one(coverable, mode):
+    warm = _fresh_evaluator(coverable, mode)
+    for genes in _gene_stream(coverable):
+        _same_bits(warm(genes), _fresh_evaluator(coverable, mode)(genes))
+
+
+def test_coverage_runs_once_per_distinct_chromosome(coverable, monkeypatch):
+    scored = []
+    coverage = Evaluator._coverage
+    monkeypatch.setattr(Evaluator, "_coverage",
+                        lambda self, genes: scored.append(1) or coverage(self, genes))
+    ev = _fresh_evaluator(coverable, "coherent")
+    stream = _gene_stream(coverable)
+    for genes in stream:
+        ev(genes)
+    assert len(scored) == len({tuple(g) for g in stream})
+
+
+def test_cached_repaired_genes_are_read_only(coverable):
+    ev = _fresh_evaluator(coverable, "incoherent")
+    genes = np.array([4, 3])
+    repaired, vec = ev(genes)
+    before = repaired.tolist()
+    with pytest.raises(ValueError):
+        repaired[0] = 1
+    again = ev(genes)
+    assert again[0].tolist() == before
+    assert again[1] == vec
+    _same_bits(again, _fresh_evaluator(coverable, "incoherent")(genes))
+
+
+def test_results_survive_memo_eviction(coverable, monkeypatch):
+    monkeypatch.setattr(objectives, "_MEMO_LIMIT", 4)
+    ev = _fresh_evaluator(coverable, "coherent")
+    for genes in _gene_stream(coverable, count=80, seed=9):
+        _same_bits(ev(genes), _fresh_evaluator(coverable, "coherent")(genes))
+        assert len(ev._memo) <= 4
 
 
 def test_zero_deficit_iff_all_cells_covered(coverable, coverable_evaluators):

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from semeplan import propagation
 from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
                                   fields_to_power_watts,
                                   MissingEntryError, build_database,
@@ -357,3 +358,19 @@ def test_wall_counts_do_not_leak_between_scenarios():
     for key in assignments:
         assert not np.array_equal(db.entries[key].values,
                                   db_other.entries[key].values), key
+
+
+def test_equal_scenarios_share_wall_counts_and_are_released():
+    # Scenario caches its hash; equal scenarios must still hash equal, so a
+    # second copy finds the first one's wall counts, and caching the hash on
+    # the instance must not keep either alive in the memo.
+    doc = demo_scenario()
+    a, b = scenario_from_dict(doc), scenario_from_dict(doc)
+    assert a == b and a is not b and hash(a) == hash(b)
+    first = reference_field(a)
+    entries = len(propagation._WALL_COUNTS)
+    assert np.array_equal(reference_field(b).values, first.values)
+    assert len(propagation._WALL_COUNTS) == entries
+    alive = weakref.ref(a), weakref.ref(b)
+    del a, b
+    assert alive[0]() is None and alive[1]() is None
