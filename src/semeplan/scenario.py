@@ -7,7 +7,6 @@ the README.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -168,13 +167,6 @@ class Scenario:
     buildings: tuple[Building, ...]
     catalog: tuple[SeeType, ...]
     sites: tuple[CandidateSite, ...]
-
-    def __hash__(self) -> int:  # the fields are frozen: walk them only once
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.grid, self.bts, self.buildings, self.catalog, self.sites))
 
     @property
     def wavelength(self) -> float:

@@ -3,13 +3,11 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import ndimage
 
-from semeplan.analysis import (BlindSpot, _label_components, coverage_cdf,
-                               empirical_cdf, extract_blindspot,
-                               read_archive_csv, reduction_stats,
-                               select_representatives, summarize_solution,
-                               write_archive_csv)
+from semeplan.analysis import (BlindSpot, coverage_cdf, empirical_cdf,
+                               extract_blindspot, read_archive_csv,
+                               reduction_stats, select_representatives,
+                               summarize_solution, write_archive_csv)
 from semeplan.nsga2 import ArchiveEntry, ParetoArchive
 from semeplan.siteplanner import Roi
 
@@ -98,22 +96,11 @@ def test_components_match_bfs_oracle_on_random_masks():
         assert bs.components[0] == bfs_components(mask, 3)
 
 
-def scipy_components(mask, min_cells):
-    """Reference labeling through scipy's 8-connected `ndimage.label`."""
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3)))
-    comps = []
-    for lbl in range(1, count + 1):
-        ys, xs = np.nonzero(labels == lbl)
-        if len(ys) >= min_cells:
-            comps.append(tuple(sorted(zip(ys.tolist(), xs.tolist()))))
-    return tuple(sorted(comps, key=lambda c: c[0]))
-
-
 @st.composite
 def label_masks(draw):
-    ny, nx = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
-                            st.tuples(st.integers(1, 12), st.just(1)),
-                            st.tuples(st.integers(1, 10), st.integers(1, 10))))
+    """Boolean masks: random, diagonal-only contacts, border-only, empty and
+    full, on grids of 1-12 rows and 1-12 columns."""
+    ny, nx = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     iy, ix = np.indices((ny, nx))
     kind = draw(st.sampled_from(("random", "diagonal", "border", "empty",
                                  "full")))
@@ -131,8 +118,10 @@ def label_masks(draw):
 
 
 @given(label_masks(), st.integers(0, 12))
-def test_label_components_match_scipy(mask, min_cells):
-    assert _label_components(mask, min_cells) == scipy_components(mask, min_cells)
+def test_components_match_bfs_oracle_on_mask_kinds(mask, min_cells):
+    power = np.where(mask, -70.0, -40.0)[None, :, :]
+    bs = extract_blindspot(power, PTH, min_cells=min_cells)
+    assert bs.components[0] == bfs_components(mask, min_cells)
 
 
 def test_labeling_row_major_deterministic():

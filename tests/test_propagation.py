@@ -361,9 +361,8 @@ def test_wall_counts_do_not_leak_between_scenarios():
 
 
 def test_equal_scenarios_share_wall_counts_and_are_released():
-    # Scenario caches its hash; equal scenarios must still hash equal, so a
-    # second copy finds the first one's wall counts, and caching the hash on
-    # the instance must not keep either alive in the memo.
+    # The wall-count memo keys on scenario equality: a second, equal copy
+    # finds the first one's counts, and the memo keeps neither copy alive.
     doc = demo_scenario()
     a, b = scenario_from_dict(doc), scenario_from_dict(doc)
     assert a == b and a is not b and hash(a) == hash(b)
