@@ -19,14 +19,16 @@ from semeplan.synthetic import benchmark_problem
 
 
 def true_front_mask(objectives: np.ndarray) -> np.ndarray:
-    nondom = np.ones(len(objectives), dtype=bool)
-    for i in range(len(objectives)):
-        if not nondom[i]:
-            continue
+    """Rank-0 mask by a lexicographic sweep: only a point sorted earlier can
+    dominate a point, so each is tested against the points kept so far."""
+    mask = np.zeros(len(objectives), dtype=bool)
+    kept = objectives[:0]
+    for i in np.lexsort(objectives.T[::-1]):
         o = objectives[i]
-        if ((objectives <= o).all(axis=1) & (objectives < o).any(axis=1)).any():
-            nondom[i] = False
-    return nondom
+        if not ((kept <= o).all(axis=1) & (kept < o).any(axis=1)).any():
+            mask[i] = True
+            kept = np.vstack([kept, o])
+    return mask
 
 
 def main() -> int:

@@ -340,26 +340,35 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 class _OutDirLock:
-    """Advisory lock; concurrent runs on one output directory are unsupported."""
+    """Advisory lock; concurrent runs on one output directory are unsupported.
+
+    A run that finds the lock warns and proceeds, and leaves that lock in
+    place; only a lock this run created is removed on exit.
+    """
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, ".lock")
+        self.owned = False
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        if os.path.exists(self.path):
+        try:
+            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
             print(f"warning: {self.path} exists; another run may be active",
                   file=sys.stderr)
         else:
-            with open(self.path, "w", encoding="utf-8") as fh:
+            self.owned = True
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(str(os.getpid()))
         return self
 
     def __exit__(self, *exc):
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
+        if self.owned:
+            try:
+                os.remove(self.path)
+            except OSError:
+                pass
         return False
 
 

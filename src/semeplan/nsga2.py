@@ -13,6 +13,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 
+CROSSOVER_RATE = 0.9  # chance that a parent pair is crossed, not copied
+TOURNAMENT_SIZE = 2
+
+
 class EvolveError(RuntimeError):
     pass
 
@@ -21,12 +25,9 @@ class EvolveError(RuntimeError):
 class GaConfig:
     population: int
     iterations: int
-    crossover_rate: float = 0.9
     mutation_rate: float = 0.005
-    tournament_size: int = 2
     seed: int = 0
     crossover: str = "uniform"  # or "one_point"
-    include_reference: bool = True  # seed generation 0 with the empty deployment
 
     def __post_init__(self):
         if self.population < 4 or self.population % 2 != 0:
@@ -34,12 +35,9 @@ class GaConfig:
                              f"got {self.population}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be >= 2")
+        if not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError(f"mutation_rate must be in [0, 1], "
+                             f"got {self.mutation_rate}")
         if self.crossover not in ("uniform", "one_point"):
             raise ValueError(f"unknown crossover operator {self.crossover!r}")
 
@@ -154,9 +152,9 @@ class EvolveResult:
     trace: list[GenerationStats] = field(default_factory=list)
 
 
-def _tournament(rng, ranks, crowding, size):
+def _tournament(rng, ranks, crowding):
     n = len(ranks)
-    picks = rng.choice(n, size=min(size, n), replace=False)
+    picks = rng.choice(n, size=min(TOURNAMENT_SIZE, n), replace=False)
     best = picks[0]
     for idx in picks[1:]:
         if (ranks[idx], -crowding[idx], idx) < (ranks[best], -crowding[best], best):
@@ -229,8 +227,7 @@ def evolve(config: GaConfig, evaluator: Callable,
         return a, b
 
     pop_genes = [random_genes() for _ in range(config.population)]
-    if config.include_reference:
-        pop_genes[0] = np.zeros(n_genes, dtype=int)
+    pop_genes[0] = np.zeros(n_genes, dtype=int)  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
     ranks, crowding = _rank_and_crowd([o for _, o in pop])
     trace = [_stats(0, [g for g, _ in pop], [o for _, o in pop], ranks)]
@@ -239,9 +236,9 @@ def evolve(config: GaConfig, evaluator: Callable,
     for generation in range(1, config.iterations + 1):
         offspring = []
         while len(offspring) < config.population:
-            pa = pop[_tournament(rng, ranks, crowding, config.tournament_size)][0]
-            pb = pop[_tournament(rng, ranks, crowding, config.tournament_size)][0]
-            if rng.random() < config.crossover_rate:
+            pa = pop[_tournament(rng, ranks, crowding)][0]
+            pb = pop[_tournament(rng, ranks, crowding)][0]
+            if rng.random() < CROSSOVER_RATE:
                 ca, cb = cross(pa, pb)
             else:
                 ca, cb = pa.copy(), pb.copy()

@@ -12,7 +12,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .propagation import MapDatabase, fields_to_power_watts
+from .propagation import (MapDatabase, deployment_power_watts, deployment_term,
+                          selected_keys)
 from .scenario import SeeType
 from .siteplanner import SitePlan
 from .units import POWER_FLOOR_DBM, watts_to_dbm
@@ -79,7 +80,8 @@ def _deficit(power_dbm: np.ndarray, pth_dbm: float) -> np.ndarray:
 class Evaluator:
     """Fast chromosome scorer over a fixed database and blind spot.
 
-    Precomputes every entry's complex field (and per-entry power, for the
+    Precomputes the reference's and every entry's superposition term
+    (`propagation.deployment_term`: the complex field, or its power in the
     incoherent mode) restricted to the blind-spot cells, so one call is a
     handful of small array sums.  Pure: identical inputs give identical
     outputs, so each result is memoized on the incoming genes, as the
@@ -100,42 +102,28 @@ class Evaluator:
                             for c in cells_per_t]
         if all(len(c) == 0 for c in self.cells_per_t):
             warnings.warn("blind spot is empty at every instant; deficit is 0")
-        self._coherent = db.mode == "coherent"
         self._cell_area = db.grid.cell_area
-        lam = db.wavelength
-        t_count = db.time_instants
 
         def restrict(grid_values):
-            return [grid_values[t][:, c[:, 0], c[:, 1]]
-                    for t, c in zip(range(t_count), self.cells_per_t)]
+            return [deployment_term(db, grid_values[t][:, c[:, 0], c[:, 1]])
+                    for t, c in enumerate(self.cells_per_t)]
 
-        self._ref_fields = restrict(db.reference.values)
-        self._ref_power = [fields_to_power_watts(f, lam) for f in self._ref_fields]
-        self._entry_fields = {key: restrict(entry.values)
-                              for key, entry in db.entries.items()}
-        self._entry_power = {
-            key: [fields_to_power_watts(f, lam) for f in fields]
-            for key, fields in self._entry_fields.items()}
+        self._ref_terms = restrict(db.reference.values)
+        self._entry_terms = {key: restrict(entry.values)
+                             for key, entry in db.entries.items()}
         self._max_cost = max_cost(self.catalog, plan)
         self._max_energy = max_energy(self.catalog, plan)
         self._memo: dict[tuple[int, ...], tuple[np.ndarray, ObjectiveVector]] = {}
 
     def _coverage(self, genes: np.ndarray) -> float:
-        selected = [(n, int(s)) for n, s in enumerate(genes) if s != 0]
-        lam = self.db.wavelength
+        keys = selected_keys(self.db, genes)
         total = 0.0
         for t, cells in enumerate(self.cells_per_t):
             if len(cells) == 0:
                 continue
-            if self._coherent:
-                fields = self._ref_fields[t].copy()
-                for key in selected:
-                    fields += self._entry_fields[key][t]
-                power_w = fields_to_power_watts(fields, lam)
-            else:
-                power_w = self._ref_power[t].copy()
-                for key in selected:
-                    power_w = power_w + self._entry_power[key][t]
+            power_w = deployment_power_watts(
+                self.db, self._ref_terms[t],
+                [self._entry_terms[key][t] for key in keys])
             deficit = _deficit(watts_to_dbm(power_w), self.pth_dbm).sum() \
                 * self._cell_area
             if self.normalized:

@@ -364,55 +364,53 @@ def build_database(scenario: Scenario, assignments: Mapping[tuple[int, int], Seq
                        plan_blob=dict(plan_blob or {}))
 
 
-def _selected_entries(db: MapDatabase, genes) -> list[FieldGrid]:
-    genes = np.asarray(genes, dtype=int)
-    selected = []
-    for n, s in enumerate(genes):
-        if s == 0:
-            continue
-        try:
-            selected.append(db.entries[(n, int(s))])
-        except KeyError:
+def selected_keys(db: MapDatabase, genes) -> list[tuple[int, int]]:
+    """The (site, gene value) entries a chromosome deploys, in site order."""
+    keys = [(n, s) for n, s in enumerate(np.asarray(genes, dtype=int).tolist())
+            if s != 0]
+    for n, s in keys:
+        if (n, s) not in db.entries:
             raise MissingEntryError(
                 f"no database entry for site {n}, kind value {s}; "
                 "the database is stale for this chromosome")
-    return selected
+    return keys
+
+
+def deployment_term(db: MapDatabase, values: np.ndarray) -> np.ndarray:
+    """What one field adds to a deployment under the database's mode.
+
+    Coherent mode adds complex fields, incoherent mode adds powers (W).
+    """
+    if db.mode == "coherent":
+        return values
+    return fields_to_power_watts(values, db.wavelength)
+
+
+def deployment_power_watts(db: MapDatabase, reference_term: np.ndarray,
+                           entry_terms) -> np.ndarray:
+    """Received power (W): the reference term plus each entry term, in order.
+
+    The terms come from `deployment_term`; coherent sums convert to power
+    once, at the end.
+    """
+    total = reference_term.copy()
+    for term in entry_terms:
+        total += term
+    if db.mode == "coherent":
+        return fields_to_power_watts(total, db.wavelength)
+    return total
 
 
 def power_map_watts(db: MapDatabase, genes, t: int) -> np.ndarray:
     """Received power (W) over the whole grid for one deployment and instant."""
-    selected = _selected_entries(db, genes)
-    if db.mode == "coherent":
-        total = db.reference.values[t].copy()
-        for entry in selected:
-            total += entry.values[t]
-        return fields_to_power_watts(total, db.wavelength)
-    power = fields_to_power_watts(db.reference.values[t], db.wavelength)
-    for entry in selected:
-        power = power + fields_to_power_watts(entry.values[t], db.wavelength)
-    return power
+    return deployment_power_watts(
+        db, deployment_term(db, db.reference.values[t]),
+        [deployment_term(db, db.entries[key].values[t])
+         for key in selected_keys(db, genes)])
 
 
 def power_map_dbm(db: MapDatabase, genes, t: int) -> np.ndarray:
     return watts_to_dbm(power_map_watts(db, genes, t))
-
-
-def received_power(db: MapDatabase, genes, cell: tuple[int, int], t: int) -> float:
-    """Received power in dBm at one grid cell (iy, ix) for one deployment."""
-    iy, ix = cell
-    selected = _selected_entries(db, genes)
-    if db.mode == "coherent":
-        total = db.reference.values[t][:, iy, ix].copy()
-        for entry in selected:
-            total += entry.values[t][:, iy, ix]
-        watts = fields_to_power_watts(total, db.wavelength)
-    else:
-        watts = fields_to_power_watts(db.reference.values[t][:, iy, ix],
-                                      db.wavelength)
-        for entry in selected:
-            watts += fields_to_power_watts(entry.values[t][:, iy, ix],
-                                           db.wavelength)
-    return float(watts_to_dbm(watts))
 
 
 # ---------------------------------------------------------------------------

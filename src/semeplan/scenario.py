@@ -24,9 +24,6 @@ PASSIVE_KINDS = ("SP-EMS", "RP-EMS")
 ACTIVE_KINDS = ("SR", "IAB")
 KNOWN_KINDS = PASSIVE_KINDS + ACTIVE_KINDS
 
-DEFAULT_PERMITTIVITY = 4.0       # concrete
-DEFAULT_CONDUCTIVITY = 0.01      # S/m
-
 
 class ScenarioError(ValueError):
     """Malformed scenario file or violated invariant."""
@@ -52,8 +49,6 @@ def _point3(values, what: str) -> Point3:
 class Building:
     footprint: tuple[Point2, ...]
     height: float
-    permittivity: float = DEFAULT_PERMITTIVITY
-    conductivity: float = DEFAULT_CONDUCTIVITY
 
     def footprint_array(self) -> np.ndarray:
         return np.asarray(self.footprint, dtype=float)
@@ -218,12 +213,7 @@ def _parse_building(raw: Mapping, idx: int) -> Building:
     height = float(raw.get("height_m", 0.0))
     if height <= 0:
         raise ScenarioError(f"{what}: height must be > 0, got {height}")
-    return Building(
-        footprint=tuple(pts),
-        height=height,
-        permittivity=float(raw.get("permittivity", DEFAULT_PERMITTIVITY)),
-        conductivity=float(raw.get("conductivity_s_per_m", DEFAULT_CONDUCTIVITY)),
-    )
+    return Building(footprint=tuple(pts), height=height)
 
 
 def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
@@ -418,8 +408,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             {
                 "footprint": [list(p) for p in b.footprint],
                 "height_m": b.height,
-                "permittivity": b.permittivity,
-                "conductivity_s_per_m": b.conductivity,
             }
             for b in scenario.buildings
         ],

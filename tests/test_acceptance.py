@@ -35,17 +35,33 @@ def report(criterion, name):
 
 
 def true_front(objectives: np.ndarray) -> np.ndarray:
-    """Vectorized rank-0 mask over an (n, 3) objective array."""
-    nondom = np.ones(len(objectives), dtype=bool)
-    for i in range(len(objectives)):
-        if not nondom[i]:
-            continue
+    """Rank-0 mask over an (n, m) objective array, by a lexicographic sweep.
+
+    Only a point sorted before p can dominate p, and whatever dominates a
+    dropped point is dominated by a kept one, so testing each point against
+    the points kept so far finds the front.
+    """
+    mask = np.zeros(len(objectives), dtype=bool)
+    kept = objectives[:0]
+    for i in np.lexsort(objectives.T[::-1]):
         o = objectives[i]
-        dominated_by = (objectives <= o).all(axis=1) \
-            & (objectives < o).any(axis=1)
-        if dominated_by.any():
-            nondom[i] = False
-    return nondom
+        if not ((kept <= o).all(axis=1) & (kept < o).any(axis=1)).any():
+            mask[i] = True
+            kept = np.vstack([kept, o])
+    return mask
+
+
+def test_true_front_sweep_matches_pairwise_oracle():
+    def pairwise(objectives):
+        return np.array([not ((objectives <= o).all(axis=1)
+                              & (objectives < o).any(axis=1)).any()
+                         for o in objectives], dtype=bool)
+
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 80))
+        objectives = rng.integers(0, 4, size=(n, 3)).astype(float)
+        assert (true_front(objectives) == pairwise(objectives)).all()
 
 
 def test_c01_exhaustive_pareto_recovery():

@@ -209,6 +209,15 @@ def test_lockfile_warns_but_proceeds(workspace, capsys):
     assert "another run may be active" in capsys.readouterr().err
 
 
+def test_run_removes_only_its_own_lockfile(workspace):
+    scenario, out, base = workspace
+    assert main(["sites"] + base) == 0
+    assert not (out / ".lock").exists()
+    (out / ".lock").write_text("12345")
+    assert main(["sites"] + base) == 0
+    assert (out / ".lock").read_text() == "12345"
+
+
 def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2

@@ -143,8 +143,8 @@ def test_config_validation():
         GaConfig(population=2, iterations=10)
     with pytest.raises(ValueError, match="iterations"):
         GaConfig(population=4, iterations=0)
-    with pytest.raises(ValueError, match="crossover_rate"):
-        GaConfig(population=4, iterations=1, crossover_rate=1.5)
+    with pytest.raises(ValueError, match="mutation_rate"):
+        GaConfig(population=4, iterations=1, mutation_rate=1.5)
     with pytest.raises(ValueError, match="crossover"):
         GaConfig(population=4, iterations=1, crossover="twirl")
 

@@ -6,6 +6,7 @@ from semeplan import objectives
 from semeplan.objectives import (Evaluator, cost_fraction, energy_fraction,
                                  installed_cost, installed_energy, max_cost,
                                  max_energy, repair)
+from semeplan.propagation import MapDatabase, MissingEntryError
 from dbtools import tiny_db
 from objectives_oracle import coverage_deficit, evaluate
 from semeplan.scenario import SeeType
@@ -98,6 +99,38 @@ def test_evaluator_matches_slow_path(coverable, coverable_evaluators):
             assert fast_genes.tolist() == slow_genes.tolist()
             for a, b in zip(fast_vec, slow_vec):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+def test_evaluator_equals_slow_path_exactly(coverable, coverable_evaluators,
+                                            mode):
+    c = coverable
+    cells = c["blindspot"].cells_per_t()
+    rng = np.random.default_rng(1)
+    for genes in rng.integers(0, 5, size=(20, c["scenario"].n_sites)):
+        fast_genes, fast_vec = coverable_evaluators[mode](genes)
+        slow_genes, slow_vec = evaluate(c["dbs"][mode], genes, cells, PTH,
+                                        c["scenario"].catalog, c["plan"])
+        assert fast_genes.tolist() == slow_genes.tolist()
+        assert fast_vec == slow_vec
+
+
+@pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+def test_evaluator_names_an_entry_missing_from_the_database(coverable, mode):
+    db = coverable["dbs"][mode]
+    site = 1
+    kind = coverable["plan"].kind_values(site)[0]
+    stale = MapDatabase(grid=db.grid, wavelength=db.wavelength,
+                        reference=db.reference,
+                        entries={key: grid for key, grid in db.entries.items()
+                                 if key != (site, kind)},
+                        meta=db.meta)
+    ev = Evaluator(stale, coverable["blindspot"].cells_per_t(), PTH,
+                   coverable["scenario"].catalog, coverable["plan"])
+    genes = np.zeros(coverable["scenario"].n_sites, dtype=int)
+    genes[site] = kind
+    with pytest.raises(MissingEntryError, match=f"site {site}"):
+        ev(genes)
 
 
 def test_evaluate_is_pure(coverable_evaluators):

@@ -10,7 +10,7 @@ from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
                                   MissingEntryError, build_database,
                                   database_fingerprint, load_database,
                                   power_map_dbm, power_map_watts,
-                                  received_power, reference_field,
+                                  reference_field,
                                   point_power_dbm, save_database,
                                   sector_gain, see_contribution)
 from semeplan.scenario import BtsSector, scenario_from_dict
@@ -222,7 +222,7 @@ def test_database_determinism_and_roundtrip(tmp_path, coverable):
 def test_missing_entry_raises(coverable):
     db = coverable["dbs"]["coherent"]
     with pytest.raises(MissingEntryError, match="site 1"):
-        received_power(db, [0, 9], (0, 0), 0)
+        power_map_watts(db, [0, 9], 0)
 
 
 def test_database_with_no_feasible_pairs_keeps_reference():
@@ -283,7 +283,7 @@ def test_destructive_interference_cancels_exactly():
                      entries={(0, 1): anti},
                      meta=DbMeta(scenario_hash="x", mode="coherent"))
     assert power_map_watts(db, [1], 0).max() == 0.0
-    assert received_power(db, [1], (2, 2), 0) == -np.inf
+    assert power_map_dbm(db, [1], 0)[2, 2] == -np.inf
 
 
 def test_power_map_dbm_matches_watts(coverable):
@@ -293,7 +293,10 @@ def test_power_map_dbm_matches_watts(coverable):
     d = power_map_dbm(db, genes, 0)
     np.testing.assert_allclose(d, watts_to_dbm(w), rtol=1e-12)
     iy, ix = 3, 7
-    assert received_power(db, genes, (iy, ix), 0) == pytest.approx(d[iy, ix])
+    field = db.reference.values[0][:, iy, ix] \
+        + db.entries[(0, 1)].values[0][:, iy, ix]
+    assert watts_to_dbm(fields_to_power_watts(field, db.wavelength)) \
+        == pytest.approx(d[iy, ix])
 
 
 def _every_kind_everywhere(sc):

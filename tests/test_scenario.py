@@ -178,3 +178,13 @@ def test_content_hash_stable_and_sensitive():
     doc = demo_scenario()
     doc["frequency_hz"] = 3.6e9
     assert scenario_from_dict(doc).content_hash() != a.content_hash()
+
+
+def test_building_material_keys_are_ignored():
+    doc = copy.deepcopy(MINIMAL)
+    doc["buildings"][0].update(permittivity=5.3, conductivity_s_per_m=0.1)
+    with_material = scenario_from_dict(doc)
+    plain = scenario_from_dict(MINIMAL)
+    assert with_material == plain
+    assert with_material.content_hash() == plain.content_hash()
+    assert "permittivity" not in scenario_to_dict(with_material)["buildings"][0]
