@@ -10,8 +10,7 @@ import numpy as np
 
 from .csvfile import write_csv
 from .nsga2 import ArchiveEntry, ParetoArchive
-from .propagation import (FieldGrid, MapDatabase, fields_to_power_watts,
-                          power_map_dbm)
+from .propagation import FieldGrid, fields_to_power_watts
 from .scenario import SeeType
 from .siteplanner import Roi
 from .units import watts_to_dbm
@@ -100,9 +99,10 @@ def empirical_cdf(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return idx / len(values)
 
 
-def coverage_cdf(db: MapDatabase, genes, blindspot: BlindSpot, t: int,
+def coverage_cdf(power_dbm: np.ndarray, blindspot: BlindSpot, t: int,
                  thresholds) -> np.ndarray:
-    """CDF of received power over the reference blind spot at instant t.
+    """CDF of a deployment's (ny, nx) dBm map at instant t over the
+    reference blind spot.
 
     The region is fixed to the reference blind spot so curves for
     different deployments share a domain.
@@ -110,8 +110,7 @@ def coverage_cdf(db: MapDatabase, genes, blindspot: BlindSpot, t: int,
     cells = blindspot.region_cells(t)
     if len(cells) == 0:
         raise ValueError(f"blind spot is empty at instant {t}")
-    power = power_map_dbm(db, genes, t)[cells[:, 0], cells[:, 1]]
-    return empirical_cdf(power, thresholds)
+    return empirical_cdf(power_dbm[cells[:, 0], cells[:, 1]], thresholds)
 
 
 # ---------------------------------------------------------------------------

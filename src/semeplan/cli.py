@@ -66,7 +66,7 @@ def _headers(scenario_hash: str, config: RunConfig) -> list[str]:
 
 
 def _prepare(config: RunConfig, scenario: Scenario):
-    """Regions, feasibility report and site plan for a config."""
+    """Reference field, regions, feasibility report and site plan for a config."""
     reference = propagation.reference_field(scenario,
                                             wall_loss_db=config.wall_loss_db)
     _, blindspot = analysis.reference_blindspot(
@@ -74,7 +74,7 @@ def _prepare(config: RunConfig, scenario: Scenario):
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
     report, plan = siteplanner.qualify_sites(scenario, rois, config.pth_dbm,
                                              wall_loss_db=config.wall_loss_db)
-    return rois, report, plan
+    return reference, rois, report, plan
 
 
 def _db_path(config: RunConfig) -> str:
@@ -110,7 +110,7 @@ def _current_db(config: RunConfig, scenario: Scenario):
 
 def cmd_sites(config: RunConfig) -> int:
     scenario = load_scenario(config.scenario_path)
-    rois, report, plan = _prepare(config, scenario)
+    _, rois, report, plan = _prepare(config, scenario)
     headers = _headers(scenario.content_hash(), config)
     os.makedirs(config.out_dir, exist_ok=True)
     siteplanner.write_feasibility_csv(
@@ -145,10 +145,10 @@ def cmd_dbgen(config: RunConfig) -> int:
             return EXIT_OK
         except StaleCacheError:
             pass
-    rois, _, plan = _prepare(config, scenario)
+    reference, rois, _, plan = _prepare(config, scenario)
     os.makedirs(config.out_dir, exist_ok=True)
     db = propagation.build_database(
-        scenario, plan.db_assignments(rois, scenario.grid.height),
+        scenario, reference, plan.db_assignments(rois, scenario.grid.height),
         mode=config.mode, wall_loss_db=config.wall_loss_db,
         params=config.db_params(), plan_blob={"assignments": plan.to_jsonable()})
     propagation.save_database(db, path)
@@ -249,13 +249,12 @@ def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
         reductions[name] = analysis.reduction_stats(ref_power, power, rois,
                                                     config.pth_dbm)
         propagation.export_power_csv(
-            db, genes, 0, os.path.join(config.out_dir, f"map_{name}.csv"),
+            db.grid, power[0], os.path.join(config.out_dir, f"map_{name}.csv"),
             headers + [f"solution={name}", f"pth_dbm={config.pth_dbm!r}"])
         for t in range(db.time_instants):
-            cells = blindspot.region_cells(t)
-            if len(cells) == 0:
+            if len(blindspot.region_cells(t)) == 0:
                 continue
-            cdf = analysis.coverage_cdf(db, genes, blindspot, t, CDF_GRID_DBM)
+            cdf = analysis.coverage_cdf(power[t], blindspot, t, CDF_GRID_DBM)
             analysis.write_cdf_csv(
                 CDF_GRID_DBM, cdf,
                 os.path.join(config.out_dir, f"cdf_{name}_t{t + 1}.csv"),

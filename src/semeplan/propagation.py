@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -108,7 +107,6 @@ def sector_gain(sector: BtsSector, direction) -> float:
 
 @dataclass(frozen=True)
 class _Source:
-    position: np.ndarray       # (3,)
     power_w: float             # power fed into the pattern
     pattern: SectorPattern | PencilBeam
     extra_path_m: float = 0.0  # pre-travelled path, adds phase only
@@ -129,56 +127,46 @@ def _polarization(directions: np.ndarray) -> np.ndarray:
     return p / norms[:, None]
 
 
-# Wall counts of each scenario, keyed by target set, then source position.
-# They depend on nothing else, so every sector, instant and device kind at
-# one position shares them.  An entry goes when its scenario does.
-_WALL_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source],
+             points: np.ndarray, walls: np.ndarray, wall_loss_db: float) -> np.ndarray:
+    """Complex field components (3, M) at the points of sources at `position`.
 
-
-def _wall_counts(scenario: Scenario, position: np.ndarray,
-                 points: np.ndarray) -> np.ndarray:
-    """Read-only counts of footprints blocking each position->point path."""
-    by_source = _WALL_COUNTS.setdefault(scenario, {}) \
-        .setdefault(points.tobytes(), {})
-    key = position.tobytes()
-    if key not in by_source:
-        walls = count_blocking_footprints(position, points, scenario.footprints())
-        walls.setflags(write=False)
-        by_source[key] = walls
-    return by_source[key]
-
-
-def _radiate(scenario: Scenario, sources: Sequence[_Source], points: np.ndarray,
-             wall_loss_db: float) -> np.ndarray:
-    """Complex field components (3, M) radiated by the sources at the points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    `walls` counts the footprints that block the path from `position` to
+    each point.
+    """
     wavelength = scenario.wavelength
+    delta = points - position
+    dist = np.linalg.norm(delta, axis=1)
+    dist = np.maximum(dist, 1e-6)
+    directions = delta / dist[:, None]
+    polarization = _polarization(directions).T
+    loss = 10.0 ** (-wall_loss_db * walls / 20.0)
     total = np.zeros((3, len(points)), dtype=np.complex128)
     for src in sources:
         if src.power_w <= 0.0:
             continue
-        delta = points - src.position
-        dist = np.linalg.norm(delta, axis=1)
-        dist = np.maximum(dist, 1e-6)
-        directions = delta / dist[:, None]
         gain_db = src.pattern.gain_dbi(directions)
         eirp = src.power_w * 10.0 ** (gain_db / 10.0)
-        walls = _wall_counts(scenario, src.position, points)
-        loss = 10.0 ** (-wall_loss_db * walls / 20.0)
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
         phase = np.exp(-2j * np.pi * (dist + src.extra_path_m) / wavelength)
-        total += (amplitude * phase) * _polarization(directions).T
+        total += (amplitude * phase) * polarization
     return total
 
 
-def _bts_sources(scenario: Scenario, t: int) -> list[_Source]:
-    pos = np.asarray(scenario.bts.position, dtype=float)
-    return [
-        _Source(position=pos, power_w=sector.tx_power_w,
-                pattern=sector_pattern(sector))
-        for sector in scenario.bts.sectors[t]
-    ]
+def _bts_fields(scenario: Scenario, points: np.ndarray,
+                wall_loss_db: float) -> np.ndarray:
+    """BTS field components at the points, shape (T, 3, M).
+
+    The walls are counted once and shared by every sector and instant.
+    """
+    position = np.asarray(scenario.bts.position, dtype=float)
+    walls = count_blocking_footprints(position, points, scenario.footprints())
+    return np.stack([
+        _radiate(scenario, position,
+                 [_Source(power_w=sector.tx_power_w, pattern=sector_pattern(sector))
+                  for sector in sectors], points, walls, wall_loss_db)
+        for sectors in scenario.bts.sectors])
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +207,16 @@ def reference_field(scenario: Scenario, *,
                     wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> FieldGrid:
     """Field of the BTS alone over the grid, one slab per time instant."""
     grid = scenario.grid
-    points = grid.centers()
-    values = np.empty((scenario.time_instants, 3, grid.ny, grid.nx),
-                      dtype=np.complex128)
-    for t in range(scenario.time_instants):
-        flat = _radiate(scenario, _bts_sources(scenario, t), points, wall_loss_db)
-        values[t] = flat.reshape(3, grid.ny, grid.nx)
-    return FieldGrid(grid=grid, values=values)
+    values = _bts_fields(scenario, grid.centers(), wall_loss_db)
+    return FieldGrid(grid=grid, values=values.reshape(-1, 3, grid.ny, grid.nx))
 
 
 def point_power_dbm(scenario: Scenario, points, *,
                     wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> np.ndarray:
     """BTS-only received power at arbitrary 3D points, shape (T, M) in dBm."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((scenario.time_instants, len(points)))
-    for t in range(scenario.time_instants):
-        flat = _radiate(scenario, _bts_sources(scenario, t), points, wall_loss_db)
-        out[t] = watts_to_dbm(fields_to_power_watts(flat, scenario.wavelength))
-    return out
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return np.stack([watts_to_dbm(fields_to_power_watts(values, scenario.wavelength))
+                     for values in _bts_fields(scenario, points, wall_loss_db)])
 
 
 def see_contribution(scenario: Scenario, site: CandidateSite, kind: SeeType,
@@ -252,51 +232,59 @@ def see_contribution(scenario: Scenario, site: CandidateSite, kind: SeeType,
     own power when the backhaul power clears the sensitivity threshold;
     access-backhaul nodes radiate regardless, as regenerative micro cells.
     """
-    targets = np.asarray(roi_targets, dtype=float)
-    if targets.ndim != 2 or targets.shape[0] != scenario.time_instants:
-        raise ValueError("roi_targets must provide one 3D point per time instant")
+    incident_dbm = point_power_dbm(scenario, site.position,
+                                   wall_loss_db=wall_loss_db)[:, 0]
+    return _site_fields(scenario, site, incident_dbm, [(kind, roi_targets)],
+                        wall_loss_db)[0]
+
+
+def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarray,
+                 aimed_kinds: Sequence[tuple[SeeType, Sequence]],
+                 wall_loss_db: float) -> list[FieldGrid]:
+    """`see_contribution` of each (kind, roi_targets) pair at one site.
+
+    `incident_dbm` is the BTS power at the site per instant.  The walls
+    from the site to the grid are counted once, for every kind.
+    """
     grid = scenario.grid
     points = grid.centers()
     wavelength = scenario.wavelength
     position = np.asarray(site.position, dtype=float)
-    bts_pos = np.asarray(scenario.bts.position, dtype=float)
-    backhaul_m = float(np.linalg.norm(position - bts_pos))
-    incident_dbm = point_power_dbm(scenario, position[None, :],
-                                   wall_loss_db=wall_loss_db)[:, 0]
-
-    values = np.zeros((scenario.time_instants, 3, grid.ny, grid.nx),
-                      dtype=np.complex128)
-    for t in range(scenario.time_instants):
-        if kind.is_passive:
-            aim = targets.mean(axis=0) if kind.kind == "SP-EMS" else targets[t]
-            gain = 4.0 * np.pi * kind.aperture_m2 / wavelength ** 2 \
-                * kind.reflection_efficiency
-            power_w = float(dbm_to_watts(incident_dbm[t]))
-            extra = backhaul_m
-        elif kind.kind == "SR":
-            if incident_dbm[t] < kind.sensitivity_dbm:
+    backhaul_m = float(np.linalg.norm(position - np.asarray(scenario.bts.position)))
+    walls = count_blocking_footprints(position, points, scenario.footprints())
+    fields = []
+    for kind, roi_targets in aimed_kinds:
+        targets = np.asarray(roi_targets, dtype=float)
+        if targets.ndim != 2 or targets.shape[0] != scenario.time_instants:
+            raise ValueError("roi_targets must provide one 3D point per time instant")
+        values = np.zeros((scenario.time_instants, 3, grid.ny, grid.nx),
+                          dtype=np.complex128)
+        for t in range(scenario.time_instants):
+            if kind.is_passive:
+                aim = targets.mean(axis=0) if kind.kind == "SP-EMS" else targets[t]
+                gain = 4.0 * np.pi * kind.aperture_m2 / wavelength ** 2 \
+                    * kind.reflection_efficiency
+                power_w = float(dbm_to_watts(incident_dbm[t]))
+            elif kind.kind == "SR" and incident_dbm[t] < kind.sensitivity_dbm:
                 continue
-            aim = targets[t]
-            gain = 10.0 ** (kind.gain_dbi / 10.0)
-            power_w = float(dbm_to_watts(kind.tx_power_dbm))
-            extra = backhaul_m
-        else:  # IAB: regenerative, phase independent of the backhaul path
-            aim = targets[t]
-            gain = 10.0 ** (kind.gain_dbi / 10.0)
-            power_w = float(dbm_to_watts(kind.tx_power_dbm))
-            extra = 0.0
-        boresight = aim - position
-        norm = np.linalg.norm(boresight)
-        if norm < 1e-9:
-            boresight = np.array([1.0, 0.0, 0.0])
-            norm = 1.0
-        beam = PencilBeam(boresight=tuple(boresight / norm),
-                          max_gain_dbi=float(10.0 * np.log10(gain)))
-        src = _Source(position=position, power_w=power_w, pattern=beam,
-                      extra_path_m=extra)
-        values[t] = _radiate(scenario, [src], points,
-                             wall_loss_db).reshape(3, grid.ny, grid.nx)
-    return FieldGrid(grid=grid, values=values)
+            else:
+                aim = targets[t]
+                gain = 10.0 ** (kind.gain_dbi / 10.0)
+                power_w = float(dbm_to_watts(kind.tx_power_dbm))
+            # IAB is regenerative: its phase is independent of the backhaul path
+            extra = 0.0 if kind.kind == "IAB" else backhaul_m
+            boresight = aim - position
+            norm = np.linalg.norm(boresight)
+            if norm < 1e-9:
+                boresight = np.array([1.0, 0.0, 0.0])
+                norm = 1.0
+            beam = PencilBeam(boresight=tuple(boresight / norm),
+                              max_gain_dbi=float(10.0 * np.log10(gain)))
+            src = _Source(power_w=power_w, pattern=beam, extra_path_m=extra)
+            values[t] = _radiate(scenario, position, [src], points, walls,
+                                 wall_loss_db).reshape(3, grid.ny, grid.nx)
+        fields.append(FieldGrid(grid=grid, values=values))
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -335,26 +323,37 @@ class MapDatabase:
         return self.reference.time_instants
 
 
-def build_database(scenario: Scenario, assignments: Mapping[tuple[int, int], Sequence],
+def build_database(scenario: Scenario, reference: FieldGrid,
+                   assignments: Mapping[tuple[int, int], Sequence],
                    *, mode: str = "coherent",
                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
                    plan_blob: dict | None = None) -> MapDatabase:
-    """Precompute the reference field and every assigned device contribution.
+    """Bundle the reference field with every assigned device contribution.
 
+    `reference` is the scenario's `reference_field` at the same wall loss.
     `assignments` maps (site index, gene value) to the per-instant aim
-    points for that pair, as produced by the site planner.
+    points for that pair, as produced by the site planner.  Each entry
+    equals that pair's `see_contribution`.  One `point_power_dbm` call
+    gives the BTS power at every entry site, and each site's walls to the
+    grid are counted once and shared by its kinds.
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")
-    reference = reference_field(scenario, wall_loss_db=wall_loss_db)
+    if (reference.grid != scenario.grid
+            or reference.time_instants != scenario.time_instants):
+        raise ValueError("reference field does not match the scenario")
+    keys = sorted(assignments)
+    sites = sorted({n for n, _ in keys})
+    incident = point_power_dbm(scenario, [scenario.sites[n].position for n in sites],
+                               wall_loss_db=wall_loss_db)
     entries: dict[tuple[int, int], FieldGrid] = {}
-    for (n, s) in sorted(assignments):
-        site = scenario.sites[n]
-        kind = scenario.catalog[s - 1]
-        entries[(n, s)] = see_contribution(scenario, site, kind,
-                                           assignments[(n, s)],
-                                           wall_loss_db=wall_loss_db)
+    for i, n in enumerate(sites):
+        site_keys = [key for key in keys if key[0] == n]
+        entries.update(zip(site_keys, _site_fields(
+            scenario, scenario.sites[n], incident[:, i],
+            [(scenario.catalog[s - 1], assignments[(n, s)]) for _, s in site_keys],
+            wall_loss_db)))
     all_params = {"wall_loss_db": wall_loss_db}
     all_params.update(params or {})
     meta = DbMeta(scenario_hash=scenario.content_hash(), mode=mode,
@@ -501,12 +500,11 @@ def load_database(path) -> MapDatabase:
                        plan_blob=header.get("plan", {}))
 
 
-def export_power_csv(db: MapDatabase, genes, t: int, path,
+def export_power_csv(grid: GridSpec, power_dbm: np.ndarray, path,
                      header_lines: Sequence[str] = ()) -> None:
-    """Write one (x, y, power dBm) row per grid cell, row-major order."""
-    power = power_map_dbm(db, genes, t)
-    write_grid_csv(path, header_lines, db.grid, "power_dbm",
-                   map(repr, power.ravel().tolist()))
+    """Write one (x, y, power dBm) row per cell of a (ny, nx) map, row-major."""
+    write_grid_csv(path, header_lines, grid, "power_dbm",
+                   map(repr, power_dbm.ravel().tolist()))
 
 
 def database_fingerprint(db: MapDatabase) -> str:

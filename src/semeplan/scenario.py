@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
@@ -29,20 +30,22 @@ class ScenarioError(ValueError):
     """Malformed scenario file or violated invariant."""
 
 
-def _point2(values, what: str) -> Point2:
+def _finite(value, what: str) -> float:
+    """`value` as a finite float, else a ScenarioError naming `what`."""
     try:
-        x, y = (float(v) for v in values)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{what}: expected a 2D point, got {values!r}")
-    return (x, y)
+        number = math.nan
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what}: expected a finite number, got {value!r}")
+    return number
 
 
-def _point3(values, what: str) -> Point3:
-    try:
-        x, y, z = (float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what}: expected a 3D point, got {values!r}")
-    return (x, y, z)
+def _point(values, dims: int, what: str) -> tuple[float, ...]:
+    coords = values if isinstance(values, (list, tuple)) else ()
+    if len(coords) != dims:
+        raise ScenarioError(f"{what}: expected a {dims}D point, got {values!r}")
+    return tuple(_finite(c, what) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -203,14 +206,14 @@ def _parse_building(raw: Mapping, idx: int) -> Building:
     verts = raw.get("footprint")
     if not verts:
         raise ScenarioError(f"{what}: missing footprint")
-    pts = [_point2(v, what) for v in verts]
+    pts = [_point(v, 2, what) for v in verts]
     if len(pts) > 3 and pts[0] == pts[-1]:
         pts = pts[:-1]  # tolerate GeoJSON-style closed rings
     if len(pts) < 3:
         raise ScenarioError(f"{what}: footprint needs at least 3 vertices")
     if not polygon_is_simple(np.asarray(pts)):
         raise ScenarioError(f"{what}: footprint polygon is not simple")
-    height = float(raw.get("height_m", 0.0))
+    height = _finite(raw.get("height_m", 0.0), f"{what} height_m")
     if height <= 0:
         raise ScenarioError(f"{what}: height must be > 0, got {height}")
     return Building(footprint=tuple(pts), height=height)
@@ -218,14 +221,19 @@ def _parse_building(raw: Mapping, idx: int) -> Building:
 
 def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
     what = f"bts sector {v} at instant {t}"
+
+    def number(name, default=None):
+        return _finite(raw[name] if default is None else raw.get(name, default),
+                       f"{what} {name}")
+
     try:
         sector = BtsSector(
-            azimuth_deg=float(raw["azimuth_deg"]),
-            downtilt_deg=float(raw.get("downtilt_deg", 0.0)),
-            tx_power_w=float(raw["tx_power_w"]),
-            max_gain_dbi=float(raw["max_gain_dbi"]),
-            az_beamwidth_deg=float(raw.get("az_beamwidth_deg", 65.0)),
-            el_beamwidth_deg=float(raw.get("el_beamwidth_deg", 10.0)),
+            azimuth_deg=number("azimuth_deg"),
+            downtilt_deg=number("downtilt_deg", 0.0),
+            tx_power_w=number("tx_power_w"),
+            max_gain_dbi=number("max_gain_dbi"),
+            az_beamwidth_deg=number("az_beamwidth_deg", 65.0),
+            el_beamwidth_deg=number("el_beamwidth_deg", 10.0),
         )
     except KeyError as exc:
         raise ScenarioError(f"{what}: missing field {exc.args[0]}")
@@ -240,7 +248,7 @@ def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
 def _parse_bts(raw: Mapping, frequency_hz: float) -> Bts:
     if frequency_hz <= 0:
         raise ScenarioError(f"frequency_hz must be > 0, got {frequency_hz}")
-    position = _point3(raw.get("position"), "bts position")
+    position = _point(raw.get("position"), 3, "bts position")
     if position[2] <= 0:
         raise ScenarioError(f"bts position: height must be > 0, got {position[2]}")
     instants = raw.get("time_instants")
@@ -266,24 +274,14 @@ def _parse_see(raw: Mapping, idx: int) -> SeeType:
     kind = raw.get("kind")
     if kind not in KNOWN_KINDS:
         raise ScenarioError(f"{what}: unknown kind {kind!r}, expected one of {KNOWN_KINDS}")
-    cost = float(raw.get("install_cost", 0.0))
-    energy = float(raw.get("energy_w", 0.0))
+    cost = _finite(raw.get("install_cost", 0.0), f"{what} install_cost")
+    energy = _finite(raw.get("energy_w", 0.0), f"{what} energy_w")
     if cost < 0 or energy < 0:
         raise ScenarioError(f"{what}: install_cost and energy_w must be >= 0")
-    entry = SeeType(
-        kind=kind,
-        install_cost=cost,
-        energy_w=energy,
-        tx_power_dbm=(None if raw.get("tx_power_dbm") is None
-                      else float(raw["tx_power_dbm"])),
-        gain_dbi=None if raw.get("gain_dbi") is None else float(raw["gain_dbi"]),
-        sensitivity_dbm=(None if raw.get("sensitivity_dbm") is None
-                         else float(raw["sensitivity_dbm"])),
-        reflection_efficiency=(None if raw.get("reflection_efficiency") is None
-                               else float(raw["reflection_efficiency"])),
-        aperture_m2=(None if raw.get("aperture_m2") is None
-                     else float(raw["aperture_m2"])),
-    )
+    entry = SeeType(kind=kind, install_cost=cost, energy_w=energy, **{
+        name: None if raw.get(name) is None else _finite(raw[name], f"{what} {name}")
+        for name in ("tx_power_dbm", "gain_dbi", "sensitivity_dbm",
+                     "reflection_efficiency", "aperture_m2")})
     if entry.is_passive:
         if entry.tx_power_dbm is not None:
             raise ScenarioError(f"{what}: passive kind {kind} must not define tx_power_dbm")
@@ -302,7 +300,7 @@ def _parse_see(raw: Mapping, idx: int) -> SeeType:
 
 def _parse_site(raw: Mapping, idx: int, grid: GridSpec) -> CandidateSite:
     what = f"site {idx}"
-    position = _point3(raw.get("position"), what)
+    position = _point(raw.get("position"), 3, what)
     mount = raw.get("mount")
     if mount not in ("facade", "pole"):
         raise ScenarioError(f"{what}: mount must be 'facade' or 'pole', got {mount!r}")
@@ -310,7 +308,7 @@ def _parse_site(raw: Mapping, idx: int, grid: GridSpec) -> CandidateSite:
     if mount == "facade":
         if raw.get("normal") is None:
             raise ScenarioError(f"{what}: facade site needs an outward wall normal")
-        normal = _point3(raw["normal"], f"{what} normal")
+        normal = _point(raw["normal"], 3, f"{what} normal")
         norm = float(np.linalg.norm(normal))
         if norm < 1e-12:
             raise ScenarioError(f"{what}: facade normal must be nonzero")
@@ -336,11 +334,11 @@ def _parse_site(raw: Mapping, idx: int, grid: GridSpec) -> CandidateSite:
 def _parse_grid(raw: Mapping) -> GridSpec:
     try:
         grid = GridSpec(
-            origin=_point2(raw.get("origin", (0.0, 0.0)), "grid origin"),
-            spacing=float(raw["spacing_m"]),
-            nx=int(raw["nx"]),
-            ny=int(raw["ny"]),
-            height=float(raw["height_m"]),
+            origin=_point(raw.get("origin", (0.0, 0.0)), 2, "grid origin"),
+            spacing=_finite(raw["spacing_m"], "grid spacing_m"),
+            nx=int(_finite(raw["nx"], "grid nx")),
+            ny=int(_finite(raw["ny"], "grid ny")),
+            height=_finite(raw["height_m"], "grid height_m"),
         )
     except KeyError as exc:
         raise ScenarioError(f"grid: missing field {exc.args[0]}")
@@ -357,12 +355,17 @@ def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     for key in ("frequency_hz", "grid", "bts"):
         if key not in raw:
             raise ScenarioError(f"scenario: missing top-level key {key!r}")
-    grid = _parse_grid(raw["grid"])
-    bts = _parse_bts(raw["bts"], float(raw["frequency_hz"]))
-    buildings = tuple(_parse_building(b, i)
-                      for i, b in enumerate(raw.get("buildings", ())))
-    catalog = tuple(_parse_see(c, i) for i, c in enumerate(raw.get("catalog", ())))
-    sites = tuple(_parse_site(s, i, grid) for i, s in enumerate(raw.get("sites", ())))
+    try:
+        grid = _parse_grid(raw["grid"])
+        bts = _parse_bts(raw["bts"], _finite(raw["frequency_hz"], "frequency_hz"))
+        buildings = tuple(_parse_building(b, i)
+                          for i, b in enumerate(raw.get("buildings", ())))
+        catalog = tuple(_parse_see(c, i) for i, c in enumerate(raw.get("catalog", ())))
+        sites = tuple(_parse_site(s, i, grid)
+                      for i, s in enumerate(raw.get("sites", ())))
+    except (TypeError, AttributeError) as exc:
+        # A section that is not the JSON object or array the schema asks for.
+        raise ScenarioError(f"scenario: a section has the wrong JSON type: {exc}")
     return Scenario(grid=grid, bts=bts, buildings=buildings,
                     catalog=catalog, sites=sites)
 

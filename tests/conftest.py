@@ -18,12 +18,12 @@ PTH_DBM = -65.0
 def coverable():
     """Fully solved coverable toy: scenario, blind spot, regions, plan, dbs."""
     scenario = scenario_from_dict(coverable_toy())
-    power, blindspot = reference_blindspot(reference_field(scenario),
-                                           scenario.wavelength, PTH_DBM)
+    reference = reference_field(scenario)
+    power, blindspot = reference_blindspot(reference, scenario.wavelength, PTH_DBM)
     rois = build_rois(blindspot.components, scenario.grid)
     report, plan = qualify_sites(scenario, rois, PTH_DBM)
     assignments = plan.db_assignments(rois, scenario.grid.height)
-    dbs = {mode: build_database(scenario, assignments, mode=mode)
+    dbs = {mode: build_database(scenario, reference, assignments, mode=mode)
            for mode in ("coherent", "incoherent")}
     return {
         "scenario": scenario,

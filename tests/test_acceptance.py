@@ -229,7 +229,7 @@ def test_c06_superposition_equivalence():
                                     scenario.catalog[s - 1], targets[(n, s)])
               for key in targets for n, s in [key]}
     for mode in ("coherent", "incoherent"):
-        db = build_database(scenario, targets, mode=mode)
+        db = build_database(scenario, ref, targets, mode=mode)
         for t in range(2):
             via_db = power_map_watts(db, genes, t)
             if mode == "coherent":

@@ -9,6 +9,7 @@ from semeplan.analysis import (BlindSpot, coverage_cdf, empirical_cdf,
                                reduction_stats, select_representatives,
                                summarize_solution, write_archive_csv)
 from semeplan.nsga2 import ArchiveEntry, ParetoArchive
+from semeplan.propagation import power_map_dbm
 from semeplan.siteplanner import Roi
 
 PTH = -65.0
@@ -147,18 +148,18 @@ def test_empirical_cdf_properties():
 
 
 def test_coverage_cdf_reference_region(coverable):
-    db = coverable["dbs"]["coherent"]
+    power = power_map_dbm(coverable["dbs"]["coherent"], [0, 0], 0)
     bs = coverable["blindspot"]
     grid = np.linspace(-80, -30, 51)
-    cdf = coverage_cdf(db, [0, 0], bs, 0, grid)
+    cdf = coverage_cdf(power, bs, 0, grid)
     # all reference blind cells sit below the threshold by construction
-    at_pth = coverage_cdf(db, [0, 0], bs, 0, np.array([PTH]))
+    at_pth = coverage_cdf(power, bs, 0, np.array([PTH]))
     assert at_pth[0] == 1.0
     assert (np.diff(cdf) >= 0).all()
     with pytest.raises(ValueError, match="at least one value|empty"):
         empty = BlindSpot(masks=np.zeros((1, 2, 2), bool), components=((),),
                           min_cells=4)
-        coverage_cdf(db, [0, 0], empty, 0, grid)
+        coverage_cdf(power, empty, 0, grid)
 
 
 def archive_of(vectors):

@@ -8,7 +8,7 @@ import pytest
 import semeplan
 from semeplan import propagation
 from semeplan.cli import main
-from semeplan.synthetic import coverable_toy, write_scenario
+from semeplan.synthetic import coverable_toy, demo_scenario, write_scenario
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
            "--mutation-rate", "0.2"]
@@ -91,6 +91,70 @@ def test_dbgen_cache_hit_skips_the_field_computation(workspace, monkeypatch,
     monkeypatch.setattr(propagation, "reference_field", fail)
     assert main(["dbgen"] + base) == 0
     assert "cache hit" in capsys.readouterr().out
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to propagation.<name> while passing them through."""
+    calls = []
+    original = getattr(propagation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, name, counted)
+    return calls
+
+
+def test_sites_and_forced_dbgen_compute_the_reference_twice(workspace,
+                                                            monkeypatch):
+    # Once per stage: dbgen hands its reference on to the database build.
+    _, out, base = workspace
+    calls = _counting(monkeypatch, "reference_field")
+    assert main(["sites"] + base) == 0
+    assert main(["dbgen", "--force"] + base) == 0
+    assert len(calls) == 2
+
+
+def test_report_forms_each_map_once(workspace, monkeypatch):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA) == 0
+    calls = _counting(monkeypatch, "power_map_watts")
+    assert main(["report"] + base) == 0
+    instants = len(coverable_toy()["bts"]["time_instants"])
+    assert len(calls) == 4 * instants  # representatives x instants
+
+
+# Each case sets the leaf at a path of keys and indices of the demo document.
+MALFORMED = {
+    "grid_nx_text": (["grid", "nx"], "abc"),
+    "frequency_text": (["frequency_hz"], "x"),
+    "frequency_nan": (["frequency_hz"], float("nan")),
+    "sector_power_inf": (["bts", "time_instants", 0, "sectors", 0, "tx_power_w"],
+                         float("inf")),
+    "grid_null": (["grid"], None),
+    "site_number": (["sites", 0], 5),
+    "building_number": (["buildings"], [5]),
+    "instant_number": (["bts", "time_instants"], [5]),
+    "install_cost_text": (["catalog", 0, "install_cost"], "x"),
+    "building_height_nan": (["buildings", 0, "height_m"], float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
+    path, value = MALFORMED[case]
+    doc = demo_scenario()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
+    assert main(["sites", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from semeplan import propagation
+from semeplan.geometry import count_blocking_footprints
 from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
                                   fields_to_power_watts,
                                   MissingEntryError, build_database,
@@ -98,7 +99,7 @@ def test_reference_field_finite_and_shaped():
 
 
 def _db_for(sc, assignments, mode="coherent"):
-    return build_database(sc, assignments, mode=mode)
+    return build_database(sc, reference_field(sc), assignments, mode=mode)
 
 
 def _targets(sc, point):
@@ -201,8 +202,8 @@ def test_database_entry_counting(coverable):
 def test_database_determinism_and_roundtrip(tmp_path, coverable):
     c = coverable
     assignments = c["plan"].db_assignments(c["rois"], c["scenario"].grid.height)
-    db1 = build_database(c["scenario"], assignments, mode="coherent")
-    db2 = build_database(c["scenario"], assignments, mode="coherent")
+    db1 = _db_for(c["scenario"], assignments)
+    db2 = _db_for(c["scenario"], assignments)
     assert database_fingerprint(db1) == database_fingerprint(db2)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_database(db1, p1)
@@ -227,7 +228,7 @@ def test_missing_entry_raises(coverable):
 
 def test_database_with_no_feasible_pairs_keeps_reference():
     sc = open_field(nx=6, ny=6)
-    db = build_database(sc, {})
+    db = _db_for(sc, {})
     assert db.entries == {}
     assert db.reference.values.shape == (1, 3, 6, 6)
     np.testing.assert_allclose(power_map_watts(db, [], 0),
@@ -313,11 +314,11 @@ def test_database_equals_fresh_calls_in_both_modes():
     assignments = _every_kind_everywhere(sc)
     assert max(sum(1 for key in assignments if key[0] == n)
                for n in range(len(sc.sites))) >= 3
-    dbs = {mode: build_database(sc, assignments, mode=mode)
+    dbs = {mode: _db_for(sc, assignments, mode)
            for mode in ("coherent", "incoherent")}
     alive = weakref.ref(sc)
     del sc
-    assert alive() is None  # nothing holds the scenario, the memo included
+    assert alive() is None  # nothing holds the scenario
     # A scenario of its own per call: no counts from another call reach it.
     reference = reference_field(scenario_from_dict(doc))
     fresh = {}
@@ -355,24 +356,47 @@ def test_wall_counts_do_not_leak_between_scenarios():
         building["footprint"] = [[x + 7.0, y - 3.0] for x, y in building["footprint"]]
     sc, other = scenario_from_dict(doc), scenario_from_dict(moved)
     assignments = _every_kind_everywhere(sc)
-    db = build_database(sc, assignments)
-    db_other = build_database(other, assignments)
+    db = _db_for(sc, assignments)
+    db_other = _db_for(other, assignments)
     assert not np.array_equal(db.reference.values, db_other.reference.values)
     for key in assignments:
         assert not np.array_equal(db.entries[key].values,
                                   db_other.entries[key].values), key
 
 
-def test_equal_scenarios_share_wall_counts_and_are_released():
-    # The wall-count memo keys on scenario equality: a second, equal copy
-    # finds the first one's counts, and the memo keeps neither copy alive.
+def test_equal_scenarios_give_equal_fields_and_are_released():
+    # Two equal copies give the same field, and computing it keeps
+    # neither copy alive.
     doc = demo_scenario()
     a, b = scenario_from_dict(doc), scenario_from_dict(doc)
     assert a == b and a is not b and hash(a) == hash(b)
     first = reference_field(a)
-    entries = len(propagation._WALL_COUNTS)
     assert np.array_equal(reference_field(b).values, first.values)
-    assert len(propagation._WALL_COUNTS) == entries
     alive = weakref.ref(a), weakref.ref(b)
     del a, b
     assert alive[0]() is None and alive[1]() is None
+
+
+def test_build_counts_each_entry_sites_walls_once(monkeypatch):
+    # One occlusion call for the base station's power at every entry site,
+    # and one per entry site over the grid, shared by the site's kinds.
+    sc = scenario_from_dict(demo_scenario())
+    assignments = _every_kind_everywhere(sc)
+    reference = reference_field(sc)
+    calls = []
+
+    def counting(origin, targets, footprints):
+        calls.append(len(targets))
+        return count_blocking_footprints(origin, targets, footprints)
+
+    monkeypatch.setattr(propagation, "count_blocking_footprints", counting)
+    build_database(sc, reference, assignments)
+    sites = {n for n, _ in assignments}
+    assert len(calls) == 1 + len(sites)
+    assert calls[0] == len(sites)
+
+
+def test_build_database_rejects_a_foreign_reference():
+    sc = open_field(nx=6, ny=6)
+    with pytest.raises(ValueError, match="reference field"):
+        build_database(sc, reference_field(open_field(nx=5, ny=6)), {})
