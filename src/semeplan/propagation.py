@@ -9,7 +9,6 @@ over the reference map.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -129,10 +128,11 @@ def _polarization(directions: np.ndarray) -> np.ndarray:
 
 def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source],
              points: np.ndarray, walls: np.ndarray, wall_loss_db: float) -> np.ndarray:
-    """Complex field components (3, M) at the points of sources at `position`.
+    """Complex field components (S, 3, M) at the points, one slab per source.
 
+    Every source sits at `position`, so the path geometry is formed once.
     `walls` counts the footprints that block the path from `position` to
-    each point.
+    each point.  A source without power leaves its slab zero.
     """
     wavelength = scenario.wavelength
     delta = points - position
@@ -141,8 +141,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
     directions = delta / dist[:, None]
     polarization = _polarization(directions).T
     loss = 10.0 ** (-wall_loss_db * walls / 20.0)
-    total = np.zeros((3, len(points)), dtype=np.complex128)
-    for src in sources:
+    slabs = np.zeros((len(sources), 3, len(points)), dtype=np.complex128)
+    for slab, src in zip(slabs, sources):
         if src.power_w <= 0.0:
             continue
         gain_db = src.pattern.gain_dbi(directions)
@@ -150,23 +150,26 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
         phase = np.exp(-2j * np.pi * (dist + src.extra_path_m) / wavelength)
-        total += (amplitude * phase) * polarization
-    return total
+        slab += (amplitude * phase) * polarization
+    return slabs
 
 
 def _bts_fields(scenario: Scenario, points: np.ndarray,
                 wall_loss_db: float) -> np.ndarray:
     """BTS field components at the points, shape (T, 3, M).
 
-    The walls are counted once and shared by every sector and instant.
+    Every sector of every instant radiates in one call; each instant then
+    adds its sectors in order.
     """
     position = np.asarray(scenario.bts.position, dtype=float)
     walls = count_blocking_footprints(position, points, scenario.footprints())
-    return np.stack([
-        _radiate(scenario, position,
-                 [_Source(power_w=sector.tx_power_w, pattern=sector_pattern(sector))
-                  for sector in sectors], points, walls, wall_loss_db)
-        for sectors in scenario.bts.sectors])
+    sources = [_Source(power_w=sector.tx_power_w, pattern=sector_pattern(sector))
+               for sectors in scenario.bts.sectors for sector in sectors]
+    slabs = _radiate(scenario, position, sources, points, walls, wall_loss_db)
+    total = np.zeros((scenario.time_instants, 3, len(points)), dtype=np.complex128)
+    for v in range(scenario.bts.sector_count):
+        total += slabs[v::scenario.bts.sector_count]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +195,13 @@ class FieldGrid:
         return self.values.shape[0]
 
 
-def fields_to_power_watts(values: np.ndarray, wavelength: float,
-                          rx_gain_lin: float = 1.0) -> np.ndarray:
+def fields_to_power_watts(values: np.ndarray, wavelength: float) -> np.ndarray:
     """Received power for an isotropic receiver from complex field components.
 
     `values` has the component axis first; the result drops that axis.
     """
     intensity = np.abs(values) ** 2
-    return intensity.sum(axis=0) * wavelength ** 2 * rx_gain_lin \
+    return intensity.sum(axis=0) * wavelength ** 2 \
         / (8.0 * np.pi * FREE_SPACE_IMPEDANCE)
 
 
@@ -243,8 +245,8 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
                  wall_loss_db: float) -> list[FieldGrid]:
     """`see_contribution` of each (kind, roi_targets) pair at one site.
 
-    `incident_dbm` is the BTS power at the site per instant.  The walls
-    from the site to the grid are counted once, for every kind.
+    `incident_dbm` is the BTS power at the site per instant.  Every
+    (kind, instant) source of the site radiates in one call.
     """
     grid = scenario.grid
     points = grid.centers()
@@ -252,25 +254,23 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
     position = np.asarray(site.position, dtype=float)
     backhaul_m = float(np.linalg.norm(position - np.asarray(scenario.bts.position)))
     walls = count_blocking_footprints(position, points, scenario.footprints())
-    fields = []
+    sources = []
     for kind, roi_targets in aimed_kinds:
         targets = np.asarray(roi_targets, dtype=float)
         if targets.ndim != 2 or targets.shape[0] != scenario.time_instants:
             raise ValueError("roi_targets must provide one 3D point per time instant")
-        values = np.zeros((scenario.time_instants, 3, grid.ny, grid.nx),
-                          dtype=np.complex128)
         for t in range(scenario.time_instants):
             if kind.is_passive:
                 aim = targets.mean(axis=0) if kind.kind == "SP-EMS" else targets[t]
                 gain = 4.0 * np.pi * kind.aperture_m2 / wavelength ** 2 \
                     * kind.reflection_efficiency
                 power_w = float(dbm_to_watts(incident_dbm[t]))
-            elif kind.kind == "SR" and incident_dbm[t] < kind.sensitivity_dbm:
-                continue
             else:
                 aim = targets[t]
                 gain = 10.0 ** (kind.gain_dbi / 10.0)
-                power_w = float(dbm_to_watts(kind.tx_power_dbm))
+                # A repeater whose backhaul misses its sensitivity is silent
+                silent = kind.kind == "SR" and incident_dbm[t] < kind.sensitivity_dbm
+                power_w = 0.0 if silent else float(dbm_to_watts(kind.tx_power_dbm))
             # IAB is regenerative: its phase is independent of the backhaul path
             extra = 0.0 if kind.kind == "IAB" else backhaul_m
             boresight = aim - position
@@ -280,11 +280,10 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
                 norm = 1.0
             beam = PencilBeam(boresight=tuple(boresight / norm),
                               max_gain_dbi=float(10.0 * np.log10(gain)))
-            src = _Source(power_w=power_w, pattern=beam, extra_path_m=extra)
-            values[t] = _radiate(scenario, position, [src], points, walls,
-                                 wall_loss_db).reshape(3, grid.ny, grid.nx)
-        fields.append(FieldGrid(grid=grid, values=values))
-    return fields
+            sources.append(_Source(power_w=power_w, pattern=beam, extra_path_m=extra))
+    values = _radiate(scenario, position, sources, points, walls, wall_loss_db)
+    return [FieldGrid(grid=grid, values=kind_values) for kind_values in values.reshape(
+        len(aimed_kinds), scenario.time_instants, 3, grid.ny, grid.nx)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,8 @@ def build_database(scenario: Scenario, reference: FieldGrid,
     `assignments` maps (site index, gene value) to the per-instant aim
     points for that pair, as produced by the site planner.  Each entry
     equals that pair's `see_contribution`.  One `point_power_dbm` call
-    gives the BTS power at every entry site, and each site's walls to the
-    grid are counted once and shared by its kinds.
+    gives the BTS power at every entry site, and each site radiates all of
+    its kinds in one call.
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")
@@ -506,13 +505,3 @@ def export_power_csv(grid: GridSpec, power_dbm: np.ndarray, path,
     write_grid_csv(path, header_lines, grid, "power_dbm",
                    map(repr, power_dbm.ravel().tolist()))
 
-
-def database_fingerprint(db: MapDatabase) -> str:
-    """Hash of header plus grids; equal fingerprints mean equal databases."""
-    digest = hashlib.sha256()
-    digest.update(json.dumps(_header_dict(db), sort_keys=True).encode())
-    digest.update(np.ascontiguousarray(db.reference.values).astype("<c8").tobytes())
-    for key in sorted(db.entries):
-        digest.update(np.ascontiguousarray(db.entries[key].values)
-                      .astype("<c8").tobytes())
-    return digest.hexdigest()

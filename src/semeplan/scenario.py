@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
@@ -31,14 +32,26 @@ class ScenarioError(ValueError):
 
 
 def _finite(value, what: str) -> float:
-    """`value` as a finite float, else a ScenarioError naming `what`."""
+    """`value` as a finite float, else a ScenarioError naming `what`.
+
+    Only a JSON number passes: a bool or a numeric string does not.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
         number = math.nan
     if not math.isfinite(number):
         raise ScenarioError(f"{what}: expected a finite number, got {value!r}")
     return number
+
+
+def _count(value, what: str) -> int:
+    """`value` as a whole number, else a ScenarioError naming `what`."""
+    number = _finite(value, what)
+    if not number.is_integer():
+        raise ScenarioError(f"{what}: expected a whole number, got {value!r}")
+    return int(number)
 
 
 def _point(values, dims: int, what: str) -> tuple[float, ...]:
@@ -336,8 +349,8 @@ def _parse_grid(raw: Mapping) -> GridSpec:
         grid = GridSpec(
             origin=_point(raw.get("origin", (0.0, 0.0)), 2, "grid origin"),
             spacing=_finite(raw["spacing_m"], "grid spacing_m"),
-            nx=int(_finite(raw["nx"], "grid nx")),
-            ny=int(_finite(raw["ny"], "grid ny")),
+            nx=_count(raw["nx"], "grid nx"),
+            ny=_count(raw["ny"], "grid ny"),
             height=_finite(raw["height_m"], "grid height_m"),
         )
     except KeyError as exc:

@@ -118,17 +118,15 @@ def build_rois(components_per_t: Sequence[Sequence[Sequence[tuple[int, int]]]],
 # Region predicates
 
 
-def max_single_hop_range(scenario: Scenario, pth_dbm: float,
-                         grx_dbi: float = 0.0) -> float:
+def max_single_hop_range(scenario: Scenario, pth_dbm: float) -> float:
     """Largest total bounce path (m) that still meets the power threshold.
 
     Free-space budget with the maximum sector gain and transmit power.
     """
     g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
-    g_rx = 10.0 ** (grx_dbi / 10.0)
     p_th = float(dbm_to_watts(pth_dbm))
     return scenario.wavelength / (4.0 * np.pi) * np.sqrt(
-        scenario.bts.max_tx_power_w * g_tx * g_rx / p_th)
+        scenario.bts.max_tx_power_w * g_tx / p_th)
 
 
 def path_within_reach(points, focus_a, focus_b, reach: float) -> np.ndarray:
@@ -140,14 +138,14 @@ def path_within_reach(points, focus_a, focus_b, reach: float) -> np.ndarray:
     return d <= reach
 
 
-def ems_region(scenario: Scenario, roi: Roi, pth_dbm: float,
-               grx_dbi: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+def ems_region(scenario: Scenario, roi: Roi,
+               pth_dbm: float) -> Callable[[np.ndarray], np.ndarray]:
     """Ellipse membership test for passive-skin sites (boundary included).
 
     The returned predicate takes (..., 3) points and checks that the path
     base station -> point -> region barycenter fits the range budget.
     """
-    reach = max_single_hop_range(scenario, pth_dbm, grx_dbi)
+    reach = max_single_hop_range(scenario, pth_dbm)
     focus_a = np.asarray(scenario.bts.position, dtype=float)
     bx, by = roi.avg_barycenter
     focus_b = np.array([bx, by, scenario.grid.height])
@@ -158,28 +156,27 @@ def ems_region(scenario: Scenario, roi: Roi, pth_dbm: float,
     return inside
 
 
-def ase_radii(scenario: Scenario, kind: SeeType, pth_dbm: float,
-              grx_dbi: float = 0.0) -> tuple[float, float]:
+def ase_radii(scenario: Scenario, kind: SeeType,
+              pth_dbm: float) -> tuple[float, float]:
     """(visibility radius around the BTS, reach radius around the region)."""
     if not kind.is_active:
         raise ValueError(f"ase_radii needs an active kind, got {kind.kind}")
     lam = scenario.wavelength
     g_ase = 10.0 ** (kind.gain_dbi / 10.0)
     g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
-    g_rx = 10.0 ** (grx_dbi / 10.0)
     p_sense = float(dbm_to_watts(kind.sensitivity_dbm))
     p_th = float(dbm_to_watts(pth_dbm))
     p_ase = float(dbm_to_watts(kind.tx_power_dbm))
     rho_bts = lam / (4.0 * np.pi) * np.sqrt(
         scenario.bts.max_tx_power_w * g_tx * g_ase / p_sense)
-    rho_roi = lam / (4.0 * np.pi) * np.sqrt(p_ase * g_rx * g_ase / p_th)
+    rho_roi = lam / (4.0 * np.pi) * np.sqrt(p_ase * g_ase / p_th)
     return float(rho_bts), float(rho_roi)
 
 
-def ase_region(scenario: Scenario, roi: Roi, kind: SeeType, pth_dbm: float,
-               grx_dbi: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+def ase_region(scenario: Scenario, roi: Roi, kind: SeeType,
+               pth_dbm: float) -> Callable[[np.ndarray], np.ndarray]:
     """Two-disk intersection test for active-device sites (geometry only)."""
-    rho_bts, rho_roi = ase_radii(scenario, kind, pth_dbm, grx_dbi)
+    rho_bts, rho_roi = ase_radii(scenario, kind, pth_dbm)
     center_a = np.asarray(scenario.bts.position, dtype=float)
     bx, by = roi.avg_barycenter
     center_b = np.array([bx, by, scenario.grid.height])
@@ -192,13 +189,9 @@ def ase_region(scenario: Scenario, roi: Roi, kind: SeeType, pth_dbm: float,
     return inside
 
 
-def region_raster(predicate, grid: GridSpec, height: float | None = None) -> np.ndarray:
+def region_raster(predicate, grid: GridSpec) -> np.ndarray:
     """Sample a region predicate on the grid, (ny, nx) booleans."""
-    pts = grid.centers()
-    if height is not None:
-        pts = pts.copy()
-        pts[:, 2] = height
-    return np.asarray(predicate(pts)).reshape(grid.ny, grid.nx)
+    return np.asarray(predicate(grid.centers())).reshape(grid.ny, grid.nx)
 
 
 # ---------------------------------------------------------------------------

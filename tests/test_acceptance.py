@@ -187,7 +187,7 @@ def test_c05_range_formula():
                     "azimuth_deg": 0.0, "downtilt_deg": 2.0,
                     "tx_power_w": 20.0, "max_gain_dbi": 16.3}]}]},
     })
-    got = max_single_hop_range(scenario, pth_dbm=-65.0, grx_dbi=0.0)
+    got = max_single_hop_range(scenario, pth_dbm=-65.0)
     # hand evaluation in the dB domain: (43.0103 + 16.3 + 0 + 65) / 20 decades
     decades = (10.0 * np.log10(20.0e3) + 16.3 + 0.0 + 65.0) / 20.0
     hand = scenario.wavelength / (4.0 * np.pi) * 10.0 ** decades

@@ -139,6 +139,12 @@ MALFORMED = {
     "instant_number": (["bts", "time_instants"], [5]),
     "install_cost_text": (["catalog", 0, "install_cost"], "x"),
     "building_height_nan": (["buildings", 0, "height_m"], float("nan")),
+    "grid_nx_fraction": (["grid", "nx"], 33.7),
+    "sector_power_numeric_text": (["bts", "time_instants", 0, "sectors", 0,
+                                   "tx_power_w"], "20"),
+    "frequency_numeric_text": (["frequency_hz"], "3.5e9"),
+    "grid_height_bool": (["grid", "height_m"], True),
+    "grid_nx_beyond_float": (["grid", "nx"], 10 ** 400),
 }
 
 

@@ -8,8 +8,7 @@ from semeplan import propagation
 from semeplan.geometry import count_blocking_footprints
 from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
                                   fields_to_power_watts,
-                                  MissingEntryError, build_database,
-                                  database_fingerprint, load_database,
+                                  MissingEntryError, build_database, load_database,
                                   power_map_dbm, power_map_watts,
                                   reference_field,
                                   point_power_dbm, save_database,
@@ -204,7 +203,6 @@ def test_database_determinism_and_roundtrip(tmp_path, coverable):
     assignments = c["plan"].db_assignments(c["rois"], c["scenario"].grid.height)
     db1 = _db_for(c["scenario"], assignments)
     db2 = _db_for(c["scenario"], assignments)
-    assert database_fingerprint(db1) == database_fingerprint(db2)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_database(db1, p1)
     save_database(db2, p2)
@@ -394,6 +392,41 @@ def test_build_counts_each_entry_sites_walls_once(monkeypatch):
     sites = {n for n, _ in assignments}
     assert len(calls) == 1 + len(sites)
     assert calls[0] == len(sites)
+
+
+def _count_radiate_calls(monkeypatch):
+    calls, radiate = [], propagation._radiate
+
+    def counting(*args):
+        calls.append(len(args[2]))  # the sources radiated together
+        return radiate(*args)
+
+    monkeypatch.setattr(propagation, "_radiate", counting)
+    return calls
+
+
+def test_base_station_radiates_every_sector_and_instant_in_one_call(monkeypatch):
+    sc = scenario_from_dict(demo_scenario())
+    assert sc.time_instants == 2 and sc.bts.sector_count == 3
+    calls = _count_radiate_calls(monkeypatch)
+    reference_field(sc)
+    point_power_dbm(sc, [site.position for site in sc.sites])
+    assert calls == [sc.time_instants * sc.bts.sector_count] * 2
+
+
+def test_build_radiates_each_entry_site_once(monkeypatch):
+    # One call for the base station's power at every entry site, and one
+    # per entry site for all of its (kind, instant) sources.
+    sc = scenario_from_dict(demo_scenario())
+    assignments = _every_kind_everywhere(sc)
+    reference = reference_field(sc)
+    calls = _count_radiate_calls(monkeypatch)
+    build_database(sc, reference, assignments)
+    sites = sorted({n for n, _ in assignments})
+    assert len(sites) == 5
+    assert calls == [sc.time_instants * sc.bts.sector_count] + [
+        sum(1 for key in assignments if key[0] == n) * sc.time_instants
+        for n in sites]
 
 
 def test_build_database_rejects_a_foreign_reference():

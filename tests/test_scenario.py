@@ -1,6 +1,8 @@
 import copy
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semeplan.scenario import (ScenarioError, buildings_from_geojson,
                                load_scenario, scenario_from_dict,
@@ -188,3 +190,41 @@ def test_building_material_keys_are_ignored():
     assert with_material == plain
     assert with_material.content_hash() == plain.content_hash()
     assert "permittivity" not in scenario_to_dict(with_material)["buildings"][0]
+
+
+def _leaf_paths(node, path=()):
+    """The path of keys and indices to every scalar of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+DEMO = demo_scenario()
+_DELETE = object()
+# Besides a drawn text: the non-finite and negative numbers, null, a list,
+# or no key at all.  No value is large enough to size a huge grid.
+LEAF_MUTATIONS = [math.nan, math.inf, -math.inf, -1, None, [1.0], _DELETE]
+
+
+# The loader alone: a mutated document that loads is not run.
+@settings(max_examples=150)
+@given(path=st.sampled_from(_leaf_paths(DEMO)),
+       text=st.text("0123456789.eE-x", max_size=6))
+def test_mutated_demo_document_loads_or_raises_scenario_error(path, text):
+    for value in [text] + LEAF_MUTATIONS:
+        doc = copy.deepcopy(DEMO)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError:
+            pass

@@ -37,7 +37,7 @@ def _roi(x, y, index=1):
 
 def test_range_formula_matches_db_domain_oracle():
     sc = paper_bts_scenario()
-    got = max_single_hop_range(sc, pth_dbm=-65.0, grx_dbi=0.0)
+    got = max_single_hop_range(sc, pth_dbm=-65.0)
     # independent check in the dB domain
     decades = (10.0 * np.log10(20.0 * 1e3) + 16.3 + 0.0 + 65.0) / 20.0
     oracle = sc.wavelength / (4.0 * np.pi) * 10.0 ** decades
