@@ -4,8 +4,8 @@ from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario,
                        scenario_from_dict, scenario_to_dict)
 from .propagation import (MapDatabase, build_database, load_database,
                           save_database, reference_field, see_contribution)
-from .siteplanner import (Roi, SitePlan, FeasibilityReport, build_rois,
-                          qualify_sites, max_single_hop_range)
+from .siteplanner import (Roi, SitePlan, build_rois, qualify_sites,
+                          max_single_hop_range)
 from .objectives import Evaluator, ObjectiveVector
 from .nsga2 import GaConfig, ParetoArchive, evolve, hypervolume
 from .analysis import (BlindSpot, extract_blindspot, coverage_cdf,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,62 +32,47 @@ class StaleCacheError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    scenario_path: str
-    out_dir: str
-    pth_dbm: float = -65.0
-    mode: str = "coherent"
-    roi_min_cells: int = 4
-    wall_loss_db: float = propagation.DEFAULT_WALL_LOSS_DB
-    population: int | None = None
-    iterations: int = 10_000
-    seed: int = 0
-    restarts: int = 1
-    crossover: str = "uniform"
-    mutation_rate: float = 0.005
-    coverage_units: str = "normalized"  # or "m2" (area-weighted)
-    force: bool = False
-
-    def db_params(self) -> dict:
-        return {"pth_dbm": self.pth_dbm, "roi_min_cells": float(self.roi_min_cells),
-                "wall_loss_db": self.wall_loss_db}
-
-    def echo(self) -> str:
-        return json.dumps({
-            "mode": self.mode, "pth_dbm": self.pth_dbm,
-            "roi_min_cells": self.roi_min_cells,
-            "wall_loss_db": self.wall_loss_db,
-            "coverage_units": self.coverage_units}, sort_keys=True)
+def _echo(args: argparse.Namespace) -> str:
+    """The options that shape the outputs, as one JSON line."""
+    return json.dumps({
+        "mode": args.mode, "pth_dbm": args.pth_dbm,
+        "roi_min_cells": args.roi_min_cells, "wall_loss_db": args.wall_loss_db,
+        "coverage_units": args.coverage_units}, sort_keys=True)
 
 
-def _headers(scenario_hash: str, config: RunConfig) -> list[str]:
-    return [f"scenario_hash={scenario_hash}", f"config={config.echo()}"]
+def _db_params(args: argparse.Namespace) -> dict:
+    """The options a cached database must have been built with."""
+    return {"pth_dbm": args.pth_dbm, "roi_min_cells": float(args.roi_min_cells),
+            "wall_loss_db": args.wall_loss_db}
 
 
-def _prepare(config: RunConfig, scenario: Scenario):
-    """Reference field, regions, feasibility report and site plan for a config."""
+def _headers(scenario_hash: str, args: argparse.Namespace) -> list[str]:
+    return [f"scenario_hash={scenario_hash}", f"config={_echo(args)}"]
+
+
+def _prepare(args: argparse.Namespace, scenario: Scenario):
+    """Reference field, regions, feasibility report and site plan for the options."""
     reference = propagation.reference_field(scenario,
-                                            wall_loss_db=config.wall_loss_db)
+                                            wall_loss_db=args.wall_loss_db)
     _, blindspot = analysis.reference_blindspot(
-        reference, scenario.wavelength, config.pth_dbm, config.roi_min_cells)
+        reference, scenario.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
-    report, plan = siteplanner.qualify_sites(scenario, rois, config.pth_dbm,
-                                             wall_loss_db=config.wall_loss_db)
+    report, plan = siteplanner.qualify_sites(scenario, rois, args.pth_dbm,
+                                             wall_loss_db=args.wall_loss_db)
     return reference, rois, report, plan
 
 
-def _db_path(config: RunConfig) -> str:
-    return os.path.join(config.out_dir, "mapdb.bin")
+def _db_path(args: argparse.Namespace) -> str:
+    return os.path.join(args.out, "mapdb.bin")
 
 
-def _current_db(config: RunConfig, scenario: Scenario):
+def _current_db(args: argparse.Namespace, scenario: Scenario):
     """The cached database if it matches the scenario and options.
 
     A missing, unreadable, truncated or foreign file, or one built from
     another scenario or other options, raises StaleCacheError.
     """
-    path = _db_path(config)
+    path = _db_path(args)
     if not os.path.exists(path):
         raise StaleCacheError(f"database {path} is missing; run dbgen first")
     try:
@@ -97,8 +82,7 @@ def _current_db(config: RunConfig, scenario: Scenario):
     if db.meta.scenario_hash != scenario.content_hash():
         raise StaleCacheError("database was built from a different scenario; "
                               "rerun dbgen")
-    if db.meta.mode != config.mode or db.meta.params_dict() != {
-            k: float(v) for k, v in config.db_params().items()}:
+    if db.meta.mode != args.mode or db.meta.params != _db_params(args):
         raise StaleCacheError("database options differ from the requested "
                               "config; rerun dbgen")
     return db
@@ -108,118 +92,114 @@ def _current_db(config: RunConfig, scenario: Scenario):
 # Commands
 
 
-def cmd_sites(config: RunConfig) -> int:
-    scenario = load_scenario(config.scenario_path)
-    _, rois, report, plan = _prepare(config, scenario)
-    headers = _headers(scenario.content_hash(), config)
-    os.makedirs(config.out_dir, exist_ok=True)
+def cmd_sites(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    _, rois, report, plan = _prepare(args, scenario)
+    headers = _headers(scenario.content_hash(), args)
+    os.makedirs(args.out, exist_ok=True)
     siteplanner.write_feasibility_csv(
-        report, os.path.join(config.out_dir, "feasibility.csv"), headers)
-    with replaced_atomically(os.path.join(config.out_dir, "siteplan.json")) as fh:
+        report, os.path.join(args.out, "feasibility.csv"), headers)
+    with replaced_atomically(os.path.join(args.out, "siteplan.json")) as fh:
         json.dump({"scenario_hash": scenario.content_hash(),
                    "assignments": plan.to_jsonable()}, fh, sort_keys=True)
         fh.write("\n")
     active = [k for k in scenario.catalog if k.is_active]
     for roi in rois:
-        regions = {"ems": siteplanner.ems_region(scenario, roi, config.pth_dbm)}
+        regions = {"ems": siteplanner.ems_region(scenario, roi, args.pth_dbm)}
         if active:
             regions["ase"] = siteplanner.ase_region(scenario, roi, active[0],
-                                                    config.pth_dbm)
+                                                    args.pth_dbm)
         for name, region in regions.items():
             siteplanner.write_region_raster_csv(
                 siteplanner.region_raster(region, scenario.grid), scenario.grid,
-                os.path.join(config.out_dir, f"region_{name}_roi{roi.index}.csv"),
+                os.path.join(args.out, f"region_{name}_roi{roi.index}.csv"),
                 headers)
     print(f"sites: {len(report)} verdicts, {len(rois)} regions, "
           f"{sum(len(a) for a in plan.assignments)} feasible pairs")
     return EXIT_OK
 
 
-def cmd_dbgen(config: RunConfig) -> int:
-    scenario = load_scenario(config.scenario_path)
-    path = _db_path(config)
-    if not config.force:
+def cmd_dbgen(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    path = _db_path(args)
+    if not args.force:
         try:
-            _current_db(config, scenario)
+            _current_db(args, scenario)
             print(f"dbgen: cache hit, {path} is current")
             return EXIT_OK
         except StaleCacheError:
             pass
-    reference, rois, _, plan = _prepare(config, scenario)
-    os.makedirs(config.out_dir, exist_ok=True)
+    reference, rois, _, plan = _prepare(args, scenario)
+    os.makedirs(args.out, exist_ok=True)
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
-        mode=config.mode, wall_loss_db=config.wall_loss_db,
-        params=config.db_params(), plan_blob={"assignments": plan.to_jsonable()})
+        mode=args.mode, wall_loss_db=args.wall_loss_db,
+        params=_db_params(args), plan_blob={"assignments": plan.to_jsonable()})
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
     return EXIT_OK
 
 
-def _ga_config(config: RunConfig, n_sites: int, seed: int) -> nsga2.GaConfig:
-    population = config.population
-    if population is None:
-        population = max(4, 2 * n_sites)
-    if population % 2:
-        population += 1
-    return nsga2.GaConfig(population=population, iterations=config.iterations,
-                          seed=seed, crossover=config.crossover,
-                          mutation_rate=config.mutation_rate)
-
-
-def cmd_optimize(config: RunConfig) -> int:
-    scenario = load_scenario(config.scenario_path)
-    db = _current_db(config, scenario)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    population = max(4, 2 * scenario.n_sites) if args.pop is None else args.pop
+    population += population % 2
+    try:
+        gas = [nsga2.GaConfig(population=population, iterations=args.iters,
+                              seed=args.seed + k, crossover=args.crossover,
+                              mutation_rate=args.mutation_rate)
+               for k in range(args.restarts)]
+    except ValueError as exc:  # GaConfig owns the GA bounds
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    db = _current_db(args, scenario)
     plan = siteplanner.SitePlan.from_jsonable(db.plan_blob["assignments"])
     _, blindspot = analysis.reference_blindspot(
-        db.reference, db.wavelength, config.pth_dbm, config.roi_min_cells)
+        db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     evaluator = objectives.Evaluator(
-        db, blindspot.cells_per_t(), config.pth_dbm, scenario.catalog, plan,
-        normalized=config.coverage_units == "normalized")
-    headers = _headers(scenario.content_hash(), config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    seeds = [config.seed + k for k in range(config.restarts)]
+        db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan,
+        normalized=args.coverage_units == "normalized")
+    headers = _headers(scenario.content_hash(), args)
+    os.makedirs(args.out, exist_ok=True)
     summary_rows = []
-    for seed in seeds:
-        ga = _ga_config(config, scenario.n_sites, seed)
+    for ga in gas:
         result = nsga2.evolve(ga, evaluator, plan.alphabets())
-        suffix = f"_seed{seed}" if config.restarts > 1 else ""
-        archive_path = os.path.join(config.out_dir, f"archive{suffix}.csv")
+        suffix = f"_seed{ga.seed}" if args.restarts > 1 else ""
+        archive_path = os.path.join(args.out, f"archive{suffix}.csv")
         analysis.write_archive_csv(result.archive, archive_path,
-                                   headers + [f"seed={seed}"])
-        trace_path = os.path.join(config.out_dir, f"trace{suffix}.csv")
-        write_csv(trace_path, headers + [f"seed={seed}"],
+                                   headers + [f"seed={ga.seed}"])
+        trace_path = os.path.join(args.out, f"trace{suffix}.csv")
+        write_csv(trace_path, headers + [f"seed={ga.seed}"],
                   ["generation", "front_size", "min_coverage", "min_cost",
                    "min_energy"],
                   ((str(row.generation), str(row.front_size),
                     *(repr(b) for b in row.best)) for row in result.trace))
         best = min(e.objectives[0] for e in result.archive)
-        summary_rows.append((seed, len(result.archive), best))
-        print(f"optimize: seed {seed} -> {len(result.archive)} front members, "
+        summary_rows.append((ga.seed, len(result.archive), best))
+        print(f"optimize: seed {ga.seed} -> {len(result.archive)} front members, "
               f"best coverage deficit {best:.6g}")
     manifest = {
         "scenario_hash": scenario.content_hash(),
-        "config": json.loads(config.echo()),
-        "ga": {"population": _ga_config(config, scenario.n_sites, 0).population,
-               "iterations": config.iterations, "seeds": seeds,
-               "crossover": config.crossover,
-               "mutation_rate": config.mutation_rate},
+        "config": json.loads(_echo(args)),
+        "ga": {"population": population, "iterations": args.iters,
+               "seeds": [ga.seed for ga in gas], "crossover": args.crossover,
+               "mutation_rate": args.mutation_rate},
     }
-    with replaced_atomically(os.path.join(config.out_dir, "manifest.json")) as fh:
+    with replaced_atomically(os.path.join(args.out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if config.restarts > 1:
-        write_csv(os.path.join(config.out_dir, "restarts_summary.csv"), headers,
+    if args.restarts > 1:
+        write_csv(os.path.join(args.out, "restarts_summary.csv"), headers,
                   ["seed", "front_size", "min_coverage"],
                   ((str(seed), str(size), repr(best))
                    for seed, size, best in summary_rows))
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
-    scenario = load_scenario(config.scenario_path)
-    db = _current_db(config, scenario)
-    archive_path = archive_path or os.path.join(config.out_dir, "archive.csv")
+def cmd_report(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
+    db = _current_db(args, scenario)
+    archive_path = args.archive or os.path.join(args.out, "archive.csv")
     if not os.path.exists(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing; "
                               "run optimize first")
@@ -228,18 +208,18 @@ def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
         print("report: archive is empty", file=sys.stderr)
         return EXIT_RUNTIME
     ref_power, blindspot = analysis.reference_blindspot(
-        db.reference, db.wavelength, config.pth_dbm, config.roi_min_cells)
+        db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
-    headers = _headers(scenario.content_hash(), config)
-    os.makedirs(config.out_dir, exist_ok=True)
+    headers = _headers(scenario.content_hash(), args)
+    os.makedirs(args.out, exist_ok=True)
 
     representatives = analysis.select_representatives(archive)
     summaries = [analysis.summarize_solution(name, representatives[name],
                                              scenario.catalog)
                  for name in analysis.REPRESENTATIVE_NAMES]
     analysis.write_solution_table(
-        summaries, os.path.join(config.out_dir, "solutions.csv"), headers,
-        coverage_units=config.coverage_units)
+        summaries, os.path.join(args.out, "solutions.csv"), headers,
+        coverage_units=args.coverage_units)
 
     reductions = {}
     for name in analysis.REPRESENTATIVE_NAMES:
@@ -247,20 +227,20 @@ def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
         power = np.stack([propagation.power_map_dbm(db, genes, t)
                           for t in range(db.time_instants)])
         reductions[name] = analysis.reduction_stats(ref_power, power, rois,
-                                                    config.pth_dbm)
+                                                    args.pth_dbm)
         propagation.export_power_csv(
-            db.grid, power[0], os.path.join(config.out_dir, f"map_{name}.csv"),
-            headers + [f"solution={name}", f"pth_dbm={config.pth_dbm!r}"])
+            db.grid, power[0], os.path.join(args.out, f"map_{name}.csv"),
+            headers + [f"solution={name}", f"pth_dbm={args.pth_dbm!r}"])
         for t in range(db.time_instants):
             if len(blindspot.region_cells(t)) == 0:
                 continue
             cdf = analysis.coverage_cdf(power[t], blindspot, t, CDF_GRID_DBM)
             analysis.write_cdf_csv(
                 CDF_GRID_DBM, cdf,
-                os.path.join(config.out_dir, f"cdf_{name}_t{t + 1}.csv"),
+                os.path.join(args.out, f"cdf_{name}_t{t + 1}.csv"),
                 headers + [f"solution={name}"])
     analysis.write_reduction_table(
-        reductions, os.path.join(config.out_dir, "reduction.csv"), headers)
+        reductions, os.path.join(args.out, "reduction.csv"), headers)
     print(f"report: {len(archive)} front members, "
           f"{len(analysis.REPRESENTATIVE_NAMES)} representatives")
     return EXIT_OK
@@ -270,16 +250,29 @@ def cmd_report(config: RunConfig, archive_path: str | None = None) -> int:
 # Argument parsing
 
 
+def _number(kind, minimum=None):
+    """An argparse type: a finite `kind` number, at least `minimum` if given."""
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value) or (minimum is not None and value < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number{bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse reports "invalid <name> value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--pth-dbm", type=float, default=-65.0,
+    parser.add_argument("--pth-dbm", type=_number(float), default=-65.0,
                         help="coverage power threshold (default -65)")
     parser.add_argument("--mode", choices=propagation.COMBINING_MODES,
                         default="coherent", help="field combining mode")
-    parser.add_argument("--roi-min-cells", type=int, default=4,
+    parser.add_argument("--roi-min-cells", type=_number(int, 0), default=4,
                         help="minimum region size in cells (default 4)")
-    parser.add_argument("--wall-loss-db", type=float,
+    parser.add_argument("--wall-loss-db", type=_number(float, 0.0),
                         default=propagation.DEFAULT_WALL_LOSS_DB,
                         help="per-building penetration loss (default 20)")
     parser.add_argument("--coverage-units", choices=("normalized", "m2"),
@@ -307,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--iters", type=int, default=10_000,
                        help="generations (default 10000)")
     p_opt.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_opt.add_argument("--restarts", type=int, default=1,
+    p_opt.add_argument("--restarts", type=_number(int, 1), default=1,
                        help="number of seeds to run (seed, seed+1, ...)")
     p_opt.add_argument("--crossover", choices=("uniform", "one_point"),
                        default="uniform")
@@ -317,25 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--archive", default=None,
                        help="archive CSV (default <out>/archive.csv)")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        pth_dbm=args.pth_dbm,
-        mode=args.mode,
-        roi_min_cells=args.roi_min_cells,
-        wall_loss_db=args.wall_loss_db,
-        population=getattr(args, "pop", None),
-        iterations=getattr(args, "iters", 10_000),
-        seed=getattr(args, "seed", 0),
-        restarts=getattr(args, "restarts", 1),
-        crossover=getattr(args, "crossover", "uniform"),
-        mutation_rate=getattr(args, "mutation_rate", 0.005),
-        coverage_units=args.coverage_units,
-        force=args.force,
-    )
 
 
 class _OutDirLock:
@@ -377,16 +351,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    config = _config_from_args(args)
     try:
-        with _OutDirLock(config.out_dir):
+        with _OutDirLock(args.out):
             if args.command == "sites":
-                return cmd_sites(config)
+                return cmd_sites(args)
             if args.command == "dbgen":
-                return cmd_dbgen(config)
+                return cmd_dbgen(args)
             if args.command == "optimize":
-                return cmd_optimize(config)
-            return cmd_report(config, archive_path=args.archive)
+                return cmd_optimize(args)
+            return cmd_report(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

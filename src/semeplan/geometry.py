@@ -73,7 +73,9 @@ def segment_edge_params(origin_xy: np.ndarray, targets_xy: np.ndarray,
     s = edge_b - edge_a
     den = r[:, 0] * s[1] - r[:, 1] * s[0]
     qp = edge_a - origin_xy
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Rows with |den| <= 1e-15 are masked out below; only such a row can
+    # overflow (numerators stay near 1e10, so it takes |den| < 1e-298).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (qp[0] * s[1] - qp[1] * s[0]) / den
         u = (qp[0] * r[:, 1] - qp[1] * r[:, 0]) / den
     hit = (np.abs(den) > 1e-15) \

@@ -38,6 +38,8 @@ class GaConfig:
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], "
                              f"got {self.mutation_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.crossover not in ("uniform", "one_point"):
             raise ValueError(f"unknown crossover operator {self.crossover!r}")
 

@@ -9,9 +9,10 @@ over the reference map.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,24 +44,16 @@ def _wrap_deg(angle):
     return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
 
 
-@dataclass(frozen=True)
-class SectorPattern:
+def _sector_gain_dbi(sector: BtsSector, directions: np.ndarray) -> np.ndarray:
     """Sectorized panel: independent quadratic rolloff in azimuth and elevation."""
-    azimuth_deg: float
-    downtilt_deg: float
-    max_gain_dbi: float
-    az_beamwidth_deg: float
-    el_beamwidth_deg: float
-
-    def gain_dbi(self, directions: np.ndarray) -> np.ndarray:
-        d = np.atleast_2d(directions)
-        az = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
-        el = np.degrees(np.arcsin(np.clip(d[:, 2], -1.0, 1.0)))
-        d_az = _wrap_deg(az - self.azimuth_deg)
-        d_el = el - (-self.downtilt_deg)
-        att = 12.0 * (d_az / self.az_beamwidth_deg) ** 2 \
-            + 12.0 * (d_el / self.el_beamwidth_deg) ** 2
-        return self.max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
+    d = np.atleast_2d(directions)
+    az = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
+    el = np.degrees(np.arcsin(np.clip(d[:, 2], -1.0, 1.0)))
+    d_az = _wrap_deg(az - sector.azimuth_deg)
+    d_el = el - (-sector.downtilt_deg)
+    att = 12.0 * (d_az / sector.az_beamwidth_deg) ** 2 \
+        + 12.0 * (d_el / sector.el_beamwidth_deg) ** 2
+    return sector.max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
 
 
 @dataclass(frozen=True)
@@ -85,19 +78,9 @@ class PencilBeam:
         return self.max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
 
 
-def sector_pattern(sector: BtsSector) -> SectorPattern:
-    return SectorPattern(
-        azimuth_deg=sector.azimuth_deg,
-        downtilt_deg=sector.downtilt_deg,
-        max_gain_dbi=sector.max_gain_dbi,
-        az_beamwidth_deg=sector.az_beamwidth_deg,
-        el_beamwidth_deg=sector.el_beamwidth_deg,
-    )
-
-
 def sector_gain(sector: BtsSector, direction) -> float:
     """Gain of a BTS sector toward a normalized direction, in dBi."""
-    return float(sector_pattern(sector).gain_dbi(np.asarray(direction, float))[0])
+    return float(_sector_gain_dbi(sector, np.asarray(direction, float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +90,7 @@ def sector_gain(sector: BtsSector, direction) -> float:
 @dataclass(frozen=True)
 class _Source:
     power_w: float             # power fed into the pattern
-    pattern: SectorPattern | PencilBeam
+    gain_dbi: Callable[[np.ndarray], np.ndarray]  # directions (M, 3) -> dBi (M,)
     extra_path_m: float = 0.0  # pre-travelled path, adds phase only
 
 
@@ -145,7 +128,7 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
     for slab, src in zip(slabs, sources):
         if src.power_w <= 0.0:
             continue
-        gain_db = src.pattern.gain_dbi(directions)
+        gain_db = src.gain_dbi(directions)
         eirp = src.power_w * 10.0 ** (gain_db / 10.0)
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
@@ -163,7 +146,8 @@ def _bts_fields(scenario: Scenario, points: np.ndarray,
     """
     position = np.asarray(scenario.bts.position, dtype=float)
     walls = count_blocking_footprints(position, points, scenario.footprints())
-    sources = [_Source(power_w=sector.tx_power_w, pattern=sector_pattern(sector))
+    sources = [_Source(power_w=sector.tx_power_w,
+                       gain_dbi=functools.partial(_sector_gain_dbi, sector))
                for sectors in scenario.bts.sectors for sector in sectors]
     slabs = _radiate(scenario, position, sources, points, walls, wall_loss_db)
     total = np.zeros((scenario.time_instants, 3, len(points)), dtype=np.complex128)
@@ -280,7 +264,8 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
                 norm = 1.0
             beam = PencilBeam(boresight=tuple(boresight / norm),
                               max_gain_dbi=float(10.0 * np.log10(gain)))
-            sources.append(_Source(power_w=power_w, pattern=beam, extra_path_m=extra))
+            sources.append(_Source(power_w=power_w, gain_dbi=beam.gain_dbi,
+                                   extra_path_m=extra))
     values = _radiate(scenario, position, sources, points, walls, wall_loss_db)
     return [FieldGrid(grid=grid, values=kind_values) for kind_values in values.reshape(
         len(aimed_kinds), scenario.time_instants, 3, grid.ny, grid.nx)]
@@ -294,10 +279,7 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
 class DbMeta:
     scenario_hash: str
     mode: str
-    params: tuple[tuple[str, float], ...] = ()
-
-    def params_dict(self) -> dict:
-        return dict(self.params)
+    params: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -356,7 +338,7 @@ def build_database(scenario: Scenario, reference: FieldGrid,
     all_params = {"wall_loss_db": wall_loss_db}
     all_params.update(params or {})
     meta = DbMeta(scenario_hash=scenario.content_hash(), mode=mode,
-                  params=tuple(sorted((k, float(v)) for k, v in all_params.items())))
+                  params={k: float(v) for k, v in all_params.items()})
     return MapDatabase(grid=scenario.grid, wavelength=scenario.wavelength,
                        reference=reference, entries=entries, meta=meta,
                        plan_blob=dict(plan_blob or {}))
@@ -420,7 +402,7 @@ def _header_dict(db: MapDatabase) -> dict:
         "metadata": {
             "scenario_hash": db.meta.scenario_hash,
             "mode": db.meta.mode,
-            "params": {k: v for k, v in db.meta.params},
+            "params": db.meta.params,
         },
         "grid": {
             "origin": list(db.grid.origin),
@@ -474,8 +456,8 @@ def load_database(path) -> MapDatabase:
         keys = [(int(n), int(s)) for n, s in header["entries"]]
         meta = DbMeta(scenario_hash=header["metadata"]["scenario_hash"],
                       mode=header["metadata"]["mode"],
-                      params=tuple(sorted((k, float(v)) for k, v
-                                   in header["metadata"]["params"].items())))
+                      params={k: float(v) for k, v
+                              in header["metadata"]["params"].items()})
         wavelength = header["wavelength_m"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DatabaseError(f"{path} has a malformed header: {exc!r}")

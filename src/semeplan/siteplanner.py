@@ -259,17 +259,6 @@ class FeasibilityRow:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    rows: tuple[FeasibilityRow, ...]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
 class SitePlan:
     """Feasible gene values per site and the region each pair serves.
 
@@ -306,7 +295,7 @@ class SitePlan:
 
 def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
                   *, wall_loss_db: float = propagation.DEFAULT_WALL_LOSS_DB
-                  ) -> tuple[FeasibilityReport, SitePlan]:
+                  ) -> tuple[tuple[FeasibilityRow, ...], SitePlan]:
     """Evaluate every (site, region, class) triple and build the site plan.
 
     The report carries one verdict per triple regardless of what the site
@@ -366,10 +355,10 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
                 r.index))
             entries.append((s, target.index))
         assignments.append(tuple(entries))
-    return FeasibilityReport(rows=tuple(rows)), SitePlan(tuple(assignments))
+    return tuple(rows), SitePlan(tuple(assignments))
 
 
-def write_feasibility_csv(report: FeasibilityReport, path,
+def write_feasibility_csv(report: Sequence[FeasibilityRow], path,
                           header_lines: Sequence[str] = ()) -> None:
     """CSV rows (site_id, roi, class, verdict, reason); site ids are 1-based."""
     write_csv(path, header_lines,

@@ -7,7 +7,7 @@ import pytest
 
 import semeplan
 from semeplan import propagation
-from semeplan.cli import main
+from semeplan.cli import build_parser, main
 from semeplan.synthetic import coverable_toy, demo_scenario, write_scenario
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
@@ -292,6 +292,65 @@ def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2
     assert main(["frobnicate"] + base) == 2
+
+
+# Each case gives a stage and one out-of-range option value for it.
+OUT_OF_RANGE = {
+    "pop_2": ["optimize", "--pop", "2"],
+    "pop_negative": ["optimize", "--pop", "-4"],
+    "iters_0": ["optimize", "--iters", "0"],
+    "mutation_rate_above_1": ["optimize", "--mutation-rate", "1.5"],
+    "restarts_0": ["optimize", "--restarts", "0"],
+    "seed_negative": ["optimize", "--seed", "-1"],
+    "pth_nan": ["sites", "--pth-dbm", "nan"],
+    "pth_inf": ["sites", "--pth-dbm", "inf"],
+    "wall_loss_nan": ["sites", "--wall-loss-db", "nan"],
+    "wall_loss_negative": ["sites", "--wall-loss-db", "-5"],
+    "roi_min_cells_negative": ["sites", "--roi-min-cells", "-3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_option_is_config_error(workspace, case, capsys):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    stage, *option = OUT_OF_RANGE[case]
+    ga = FAST_GA if stage == "optimize" else []
+    assert main([stage] + base + ga + option) == 2
+    assert "error:" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_odd_population_rounds_up(workspace):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA + ["--pop", "3"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["ga"]["population"] == 4
+
+
+def test_documented_defaults(tmp_path):
+    doc = coverable_toy()
+    scenario = tmp_path / "scenario.json"
+    write_scenario(doc, scenario)
+    out = tmp_path / "run"
+    base = ["--scenario", str(scenario), "--out", str(out)]
+    for stage in (["sites"], ["dbgen"], ["optimize", "--iters", "2"]):
+        assert main(stage + base) == 0
+    echo = ('{"coverage_units": "normalized", "mode": "coherent", '
+            '"pth_dbm": -65.0, "roi_min_cells": 4, "wall_loss_db": 20.0}')
+    assert (out / "feasibility.csv").read_text().splitlines()[1] \
+        == f"# config={echo}"
+    db = propagation.load_database(out / "mapdb.bin")
+    assert db.meta.mode == "coherent"
+    assert dict(db.meta.params) == {"pth_dbm": -65.0, "roi_min_cells": 4.0,
+                                    "wall_loss_db": 20.0}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == json.loads(echo)
+    assert manifest["ga"] == {"population": max(4, 2 * len(doc["sites"])),
+                              "iterations": 2, "seeds": [0],
+                              "crossover": "uniform", "mutation_rate": 0.005}
+    assert build_parser().parse_args(["optimize"] + base).iters == 10_000
 
 
 # Columns that hold words or gene lists; every other cell is a number.
