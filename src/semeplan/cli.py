@@ -316,15 +316,22 @@ class _OutDirLock:
     """Advisory lock; concurrent runs on one output directory are unsupported.
 
     A run that finds the lock warns and proceeds, and leaves that lock in
-    place; only a lock this run created is removed on exit.
+    place; only a lock this run created is removed on exit.  An output
+    directory this run created is removed on exit if the run left it empty.
     """
 
     def __init__(self, out_dir: str):
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, ".lock")
         self.owned = False
+        self.created = False
 
     def __enter__(self):
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        try:
+            os.makedirs(self.out_dir)
+            self.created = True
+        except FileExistsError:
+            pass
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -341,6 +348,11 @@ class _OutDirLock:
             try:
                 os.remove(self.path)
             except OSError:
+                pass
+        if self.created:
+            try:
+                os.rmdir(self.out_dir)
+            except OSError:  # the run wrote into it
                 pass
         return False
 

@@ -1,9 +1,9 @@
 """Integer-encoded elitist NSGA-II and Pareto-front utilities.
 
-Generational loop: tournament selection on (rank, crowding), uniform
-crossover on the integer string, per-gene mutation resampling from the
-feasible alphabet, then mu+lambda survivor selection.  Fully reproducible
-from the seed.
+Generational loop: binary tournament selection on (rank, crowding), uniform
+or one-point crossover on the integer string, per-gene mutation resampling
+from the feasible alphabet, then mu+lambda survivor selection.  Fully
+reproducible from the seed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import numpy as np
 
 
 CROSSOVER_RATE = 0.9  # chance that a parent pair is crossed, not copied
-TOURNAMENT_SIZE = 2
 
 
 class EvolveError(RuntimeError):
@@ -87,18 +86,14 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     if n <= 2:
         return [float("inf")] * n
     dist = [0.0] * n
-    m = len(front[0])
-    for k in range(m):
-        order = sorted(range(n), key=lambda i: front[i][k])
-        lo = front[order[0]][k]
-        hi = front[order[-1]][k]
-        span = hi - lo
+    for column in zip(*front):
+        order = sorted(range(n), key=column.__getitem__)
+        span = column[order[-1]] - column[order[0]]
         if span <= 0.0:
             continue
         dist[order[0]] = dist[order[-1]] = float("inf")
-        for j in range(1, n - 1):
-            gap = front[order[j + 1]][k] - front[order[j - 1]][k]
-            dist[order[j]] += gap / span
+        for prev, i, nxt in zip(order, order[1:], order[2:]):
+            dist[i] += (column[nxt] - column[prev]) / span
     return dist
 
 
@@ -154,14 +149,21 @@ class EvolveResult:
     trace: list[GenerationStats] = field(default_factory=list)
 
 
-def _tournament(rng, ranks, crowding):
-    n = len(ranks)
-    picks = rng.choice(n, size=min(TOURNAMENT_SIZE, n), replace=False)
-    best = picks[0]
-    for idx in picks[1:]:
-        if (ranks[idx], -crowding[idx], idx) < (ranks[best], -crowding[best], best):
-            best = idx
-    return best
+def _contestant_draw(rng, size: int) -> Callable[[], tuple[int, int, int, int]]:
+    """The contestants of both binary tournaments of a parent pair, per call.
+
+    One `rng.integers` call draws what two `rng.choice(size, 2,
+    replace=False)` calls would: Floyd's algorithm draws a in [0, size-2],
+    then b in [0, size-1] (b == a picks size-1), then a one-step shuffle
+    draws once more.  A winner does not depend on the order of its two
+    contestants, so the shuffle draw is ignored.
+    """
+    highs = np.array([size - 1, size, 2] * 2)
+
+    def draw():
+        a1, b1, _, a2, b2, _ = rng.integers(0, highs).tolist()
+        return a1, (b1 if b1 != a1 else size - 1), a2, (b2 if b2 != a2 else size - 1)
+    return draw
 
 
 def _rank_and_crowd(objectives):
@@ -178,8 +180,7 @@ def _rank_and_crowd(objectives):
 
 
 def _stats(generation, genes_list, objectives, ranks) -> GenerationStats:
-    front_genes = {tuple(int(g) for g in genes_list[i])
-                   for i, r in enumerate(ranks) if r == 0}
+    front_genes = {genes_list[i] for i, r in enumerate(ranks) if r == 0}
     arr = np.asarray(objectives, dtype=float)
     return GenerationStats(generation=generation, front_size=len(front_genes),
                            best=tuple(float(v) for v in arr.min(axis=0)))
@@ -189,47 +190,51 @@ def evolve(config: GaConfig, evaluator: Callable,
            alphabets: Sequence[Sequence[int]]) -> EvolveResult:
     """Run the generational loop and return the final front plus a trace.
 
-    `evaluator(genes) -> (repaired genes, objective tuple)` must be pure;
-    `alphabets[n]` lists the feasible gene values at site n (0 is always
-    added).  The archive is the deduplicated rank-0 set of the last
-    combined parent+offspring population.
+    `evaluator(genes) -> (repaired genes, objective tuple)` must be pure; it
+    receives the chromosome as a tuple of ints.  `alphabets[n]` lists the
+    feasible gene values at site n (0 is always added).  Each parent is
+    the winner of a binary tournament on (rank, crowding).  The archive is
+    the deduplicated rank-0 set of the last combined parent+offspring
+    population.
     """
     rng = np.random.default_rng(config.seed)
-    alphabets = tuple(tuple(sorted(set(a) | {0})) for a in alphabets)
+    alphabets = tuple(tuple(sorted({0, *map(int, a)})) for a in alphabets)
     n_genes = len(alphabets)
+    size = config.population
+    contestants = _contestant_draw(rng, size)
 
     def evaluate(genes, generation):
         try:
-            repaired, vec = evaluator(np.asarray(genes, dtype=int))
+            repaired, vec = evaluator(genes)
         except Exception as exc:
             raise EvolveError(f"evaluator failed at generation {generation}: "
                               f"{exc}") from exc
-        return np.asarray(repaired, dtype=int), tuple(float(v) for v in vec)
+        return tuple(np.asarray(repaired, dtype=int).tolist()), tuple(map(float, vec))
 
-    def random_genes():
-        return np.array([alpha[rng.integers(len(alpha))] for alpha in alphabets],
-                        dtype=int)
+    def winner(a, b):
+        return a if (ranks[a], -crowding[a], a) < (ranks[b], -crowding[b], b) else b
 
     def mutate(genes):
-        mask = rng.random(n_genes) < config.mutation_rate
-        for n in np.nonzero(mask)[0]:
-            genes[n] = alphabets[n][rng.integers(len(alphabets[n]))]
-        return genes
+        for n, u in enumerate(rng.random(n_genes).tolist()):
+            if u < config.mutation_rate:
+                genes[n] = alphabets[n][rng.integers(len(alphabets[n]))]
+        return tuple(genes)
 
     def cross(a, b):
-        a = a.copy()
-        b = b.copy()
+        a, b = list(a), list(b)
         if n_genes >= 2:
             if config.crossover == "uniform":
-                swap = rng.random(n_genes) < 0.5
-                a[swap], b[swap] = b[swap], a[swap].copy()
+                for n, u in enumerate(rng.random(n_genes).tolist()):
+                    if u < 0.5:
+                        a[n], b[n] = b[n], a[n]
             else:
                 point = int(rng.integers(1, n_genes))
-                a[:point], b[:point] = b[:point], a[:point].copy()
+                a[:point], b[:point] = b[:point], a[:point]
         return a, b
 
-    pop_genes = [random_genes() for _ in range(config.population)]
-    pop_genes[0] = np.zeros(n_genes, dtype=int)  # the empty deployment
+    pop_genes = [tuple(alpha[rng.integers(len(alpha))] for alpha in alphabets)
+                 for _ in range(size)]
+    pop_genes[0] = (0,) * n_genes  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
     ranks, crowding = _rank_and_crowd([o for _, o in pop])
     trace = [_stats(0, [g for g, _ in pop], [o for _, o in pop], ranks)]
@@ -237,22 +242,22 @@ def evolve(config: GaConfig, evaluator: Callable,
     combined = pop
     for generation in range(1, config.iterations + 1):
         offspring = []
-        while len(offspring) < config.population:
-            pa = pop[_tournament(rng, ranks, crowding)][0]
-            pb = pop[_tournament(rng, ranks, crowding)][0]
+        for _ in range(size // 2):
+            a1, b1, a2, b2 = contestants()
+            pa = pop[winner(a1, b1)][0]
+            pb = pop[winner(a2, b2)][0]
             if rng.random() < CROSSOVER_RATE:
                 ca, cb = cross(pa, pb)
             else:
-                ca, cb = pa.copy(), pb.copy()
-            for child in (ca, cb):
-                if len(offspring) < config.population:
-                    offspring.append(evaluate(mutate(child), generation))
+                ca, cb = list(pa), list(pb)
+            offspring.append(evaluate(mutate(ca), generation))
+            offspring.append(evaluate(mutate(cb), generation))
         combined = pop + offspring
         comb_objs = [o for _, o in combined]
         comb_ranks, comb_crowd = _rank_and_crowd(comb_objs)
         order = sorted(range(len(combined)),
                        key=lambda i: (comb_ranks[i], -comb_crowd[i], i))
-        selected = order[:config.population]
+        selected = order[:size]
         pop = [combined[i] for i in selected]
         # the survivors' combined-population ranks drive the next tournament
         ranks = [comb_ranks[i] for i in selected]

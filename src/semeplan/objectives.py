@@ -33,13 +33,15 @@ class ObjectiveVector(NamedTuple):
     energy: float
 
 
-def repair(genes, plan: SitePlan) -> np.ndarray:
-    """Zero out genes selecting a kind that is not feasible at their site."""
-    out = np.asarray(genes, dtype=int).copy()
-    for n in range(plan.n_sites):
-        if out[n] != 0 and out[n] not in plan.kind_values(n):
-            out[n] = 0
-    return out
+def repair(genes, alphabets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Zero out genes selecting a kind that is not feasible at their site.
+
+    `alphabets[n]` lists the gene values allowed at site n, 0 included, as
+    `SitePlan.alphabets()` gives them.
+    """
+    return np.array([g if g in alpha else 0
+                     for g, alpha in zip(map(int, genes), alphabets, strict=True)],
+                    dtype=int)
 
 
 def max_cost(catalog: Sequence[SeeType], plan: SitePlan) -> float:
@@ -96,7 +98,7 @@ class Evaluator:
         self.db = db
         self.pth_dbm = float(pth_dbm)
         self.catalog = tuple(catalog)
-        self.plan = plan
+        self.alphabets = plan.alphabets()
         self.normalized = normalized
         self.cells_per_t = [np.asarray(c, dtype=int).reshape(-1, 2)
                             for c in cells_per_t]
@@ -136,7 +138,7 @@ class Evaluator:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        repaired = repair(key, self.plan)
+        repaired = repair(key, self.alphabets)
         repaired.flags.writeable = False
         cost = installed_cost(repaired, self.catalog)
         energy = installed_energy(repaired, self.catalog)

@@ -46,7 +46,7 @@ def evaluate(db: MapDatabase, genes, cells_per_t, pth_dbm: float,
              catalog: Sequence[SeeType], plan: SitePlan,
              *, normalized: bool = False) -> tuple[np.ndarray, ObjectiveVector]:
     """Repair the chromosome and score all three objectives."""
-    repaired = repair(genes, plan)
+    repaired = repair(genes, plan.alphabets())
     vec = ObjectiveVector(
         coverage=coverage_deficit(db, repaired, cells_per_t, pth_dbm,
                                   normalized=normalized),

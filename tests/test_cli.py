@@ -288,6 +288,21 @@ def test_run_removes_only_its_own_lockfile(workspace):
     assert (out / ".lock").read_text() == "12345"
 
 
+@pytest.mark.parametrize("case", ["optimize_pop_2", "sites_missing_scenario"])
+def test_config_error_leaves_no_output_directory(workspace, case):
+    scenario, out, base = workspace
+    if case == "optimize_pop_2":
+        argv = ["optimize"] + base + ["--pop", "2"]
+    else:
+        argv = ["sites", "--scenario", str(scenario.parent / "missing.json"),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    out.mkdir()
+    assert main(argv) == 2
+    assert out.is_dir()  # a directory the run did not create is kept
+
+
 def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2

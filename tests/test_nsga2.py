@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import nsga2_oracle
 from semeplan.nsga2 import (EvolveError, GaConfig, ParetoArchive,
-                            crowding_distance, dominates, evolve,
-                            fast_nondominated_sort, hypervolume)
+                            _contestant_draw, crowding_distance, dominates,
+                            evolve, fast_nondominated_sort, hypervolume)
 
 
 def brute_force_ranks(objectives):
@@ -89,6 +90,64 @@ def test_evolve_deterministic_and_consistent():
     for e in a.archive:
         for f in a.archive:
             assert not dominates(e.objectives, f.objectives) or e is f
+
+
+def table_evaluator(seed, n_genes):
+    """Pure scorer from a random table, rounded so that ties occur."""
+    table = np.random.default_rng(seed).integers(0, 4, size=(3, n_genes, 8))
+
+    def evaluator(genes):
+        genes = np.asarray(genes, int)
+        rows = table[:, np.arange(len(genes)), genes]
+        return genes, tuple(float(v) for v in rows.sum(axis=1) / 3.0)
+    return evaluator
+
+
+@given(alphabets=st.lists(st.sets(st.integers(0, 7), max_size=3).map(sorted),
+                          min_size=1, max_size=6),
+       half_population=st.integers(2, 8), iterations=st.integers(1, 12),
+       mutation_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 16),
+       crossover=st.sampled_from(["uniform", "one_point"]))
+@example(alphabets=[[1, 2]] * 4, half_population=2, iterations=6, mutation_rate=0.0,
+         seed=0, crossover="uniform")
+@example(alphabets=[[1, 2]] * 4, half_population=2, iterations=6, mutation_rate=1.0,
+         seed=1, crossover="one_point")
+@example(alphabets=[[3, 5]], half_population=3, iterations=6, mutation_rate=0.5,
+         seed=2, crossover="uniform")
+@example(alphabets=[[], [], [4]], half_population=2, iterations=6, mutation_rate=1.0,
+         seed=3, crossover="one_point")
+def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations,
+                                          mutation_rate, seed, crossover):
+    # the oracle draws each tournament with `rng.choice` on numpy chromosomes;
+    # the same seed must give the same archive and trace, draw for draw
+    cfg = GaConfig(population=2 * half_population, iterations=iterations,
+                   mutation_rate=mutation_rate, seed=seed, crossover=crossover)
+    evaluator = table_evaluator(seed, len(alphabets))
+    got = evolve(cfg, evaluator, alphabets)
+    want = nsga2_oracle.evolve(cfg, evaluator, alphabets)
+    assert got.archive == want.archive
+    assert got.trace == want.trace
+
+
+@pytest.mark.parametrize("size", [4, 7, 10, 20, 120])
+def test_contestant_draw_reproduces_two_choice_calls(size):
+    for seed in range(40):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _contestant_draw(ours, size)
+        for k in range(25):
+            a1, b1, a2, b2 = draw()
+            first = theirs.choice(size, 2, replace=False).tolist()
+            second = theirs.choice(size, 2, replace=False).tolist()
+            assert {a1, b1} == set(first) and {a2, b2} == set(second)
+            # draws of other kinds in between must stay in step
+            if k % 3 == 0:
+                assert ours.random() == theirs.random()
+            if k % 4 == 1:
+                assert ours.integers(7) == theirs.integers(7)
+            if k % 5 == 2:
+                assert ours.random(3).tolist() == theirs.random(3).tolist()
+        assert ours.random() == theirs.random()
 
 
 def test_evolve_elitism_monotone_best():

@@ -78,9 +78,9 @@ def test_empty_blindspot_warns_and_returns_zero():
 
 def test_repair_zeroes_infeasible_genes():
     plan = SitePlan((((1, 1),), ((3, 2), (4, 2)), ()))
-    repaired = repair([2, 3, 4], plan)
+    repaired = repair([2, 3, 4], plan.alphabets())
     assert repaired.tolist() == [0, 3, 0]
-    repaired = repair([1, 4, 0], plan)
+    repaired = repair([1, 4, 0], plan.alphabets())
     assert repaired.tolist() == [1, 4, 0]
 
 
