@@ -40,7 +40,7 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario, blindspot, plan, db, evaluator = benchmark_problem()
-    n, s = scenario.n_sites, scenario.n_kinds
+    n, s = scenario.n_sites, len(scenario.catalog)
     print(f"toy problem: {n} sites x {s} kinds -> {(s + 1) ** n} deployments")
 
     started = time.monotonic()
@@ -69,7 +69,7 @@ def main() -> int:
         result = evolve(config, evaluator, plan.alphabets())
         elapsed = time.monotonic() - started
         subset = all(e.genes in optimal for e in result.archive)
-        ratio = hypervolume(result.archive.objective_array(),
+        ratio = hypervolume([e.objectives for e in result.archive],
                             ref_point) / total_hv
         print(f"seed {seed}: {elapsed:5.1f}s  archive {len(result.archive):3d}"
               f"  subset={subset}  hypervolume ratio {ratio:.5f}")

@@ -9,7 +9,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .csvfile import write_csv
-from .nsga2 import ArchiveEntry, ParetoArchive
+from .nsga2 import ArchiveEntry
+from .objectives import deployment_totals
 from .propagation import FieldGrid, fields_to_power_watts
 from .scenario import SeeType
 from .siteplanner import Roi
@@ -24,12 +25,12 @@ class BlindSpot:
     """Cells below the power threshold, per instant, with their regions.
 
     `masks[t]` flags every failing cell; `components[t]` partitions the
-    mask into 8-connected regions of at least `min_cells` cells, labeled
-    in row-major order of their first cell.
+    mask into 8-connected regions of at least the `min_cells` that
+    `extract_blindspot` was given, labeled in row-major order of their
+    first cell.
     """
     masks: np.ndarray  # (T, ny, nx) bool
     components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    min_cells: int
 
     @property
     def time_instants(self) -> int:
@@ -77,7 +78,7 @@ def extract_blindspot(power_dbm: np.ndarray, pth_dbm: float,
     masks = power_dbm < pth_dbm
     components = tuple(_label_components(masks[t], min_cells)
                        for t in range(power_dbm.shape[0]))
-    return BlindSpot(masks=masks, components=components, min_cells=min_cells)
+    return BlindSpot(masks=masks, components=components)
 
 
 def reference_blindspot(reference: FieldGrid, wavelength: float, pth_dbm: float,
@@ -117,19 +118,12 @@ def coverage_cdf(power_dbm: np.ndarray, blindspot: BlindSpot, t: int,
 # Representative front members
 
 
-def _argmin_entry(archive: ParetoArchive, score) -> ArchiveEntry:
-    best = None
-    best_key = None
-    for i, entry in enumerate(archive):
-        cv, cs, _ = entry.objectives
-        key = (score(entry.objectives), cv, cs, i)
-        if best_key is None or key < best_key:
-            best = entry
-            best_key = key
-    return best
+def _argmin_entry(archive: Sequence[ArchiveEntry], score) -> ArchiveEntry:
+    # min() keeps the first of equal keys, so archive order breaks ties
+    return min(archive, key=lambda e: (score(e.objectives), *e.objectives[:2]))
 
 
-def select_representatives(archive: ParetoArchive) -> dict[str, ArchiveEntry]:
+def select_representatives(archive: Sequence[ArchiveEntry]) -> dict[str, ArchiveEntry]:
     """Flag the four standard trade-off picks from the front.
 
     best_coverage minimizes the coverage deficit alone; best_compromise
@@ -163,19 +157,6 @@ class RoiReduction:
     gain_min_db: float      # improvement = P(deployment) - P(reference)
     gain_max_db: float
     gain_avg_db: float
-
-    @property
-    def drop_min_db(self) -> float:
-        """Reference-minus-deployment orientation of the difference map."""
-        return -self.gain_max_db
-
-    @property
-    def drop_max_db(self) -> float:
-        return -self.gain_min_db
-
-    @property
-    def drop_avg_db(self) -> float:
-        return -self.gain_avg_db
 
 
 def reduction_stats(ref_power: np.ndarray, new_power: np.ndarray,
@@ -212,61 +193,33 @@ def reduction_stats(ref_power: np.ndarray, new_power: np.ndarray,
 # Report tables
 
 
-@dataclass(frozen=True)
-class SolutionSummary:
-    name: str
-    genes: tuple[int, ...]
-    objectives: tuple[float, float, float]
-    device_counts: tuple[tuple[str, int], ...]
-    total_cost: float
-    total_energy_w: float
-
-    @property
-    def n_devices(self) -> int:
-        return sum(c for _, c in self.device_counts)
-
-
-def summarize_solution(name: str, entry: ArchiveEntry,
-                       catalog: Sequence[SeeType]) -> SolutionSummary:
-    counts: dict[str, int] = {k.kind: 0 for k in catalog}
-    cost = 0.0
-    energy = 0.0
-    for s in entry.genes:
-        if s == 0:
-            continue
-        kind = catalog[s - 1]
-        counts[kind.kind] += 1
-        cost += kind.install_cost
-        energy += kind.energy_w
-    return SolutionSummary(name=name, genes=entry.genes,
-                           objectives=entry.objectives,
-                           device_counts=tuple(counts.items()),
-                           total_cost=cost, total_energy_w=energy)
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def write_solution_table(summaries: Sequence[SolutionSummary], path,
+def write_solution_table(representatives: Mapping[str, ArchiveEntry],
+                         catalog: Sequence[SeeType], path,
                          header_lines: Sequence[str] = (),
                          coverage_units: str = "m2") -> None:
-    kinds = [k for k, _ in summaries[0].device_counts] if summaries else []
+    """One row per named front member: its objectives, device count per
+    catalog kind, and installed cost and energy."""
+    kinds = list(dict.fromkeys(k.kind for k in catalog))
     columns = (["solution", "coverage_deficit", "coverage_units",
                 "cost_fraction", "energy_fraction", "n_devices"]
                + [f"n_{k}" for k in kinds] + ["total_cost", "total_energy_w",
                                               "genes"])
     rows = []
-    for s in summaries:
-        counts = dict(s.device_counts)
-        rows.append([s.name, _fmt(s.objectives[0]), coverage_units,
-                     _fmt(s.objectives[1]), _fmt(s.objectives[2]),
-                     str(s.n_devices)]
-                    + [str(counts[k]) for k in kinds]
-                    + [_fmt(s.total_cost), _fmt(s.total_energy_w),
-                       ";".join(str(g) for g in s.genes)])
+    for name, entry in representatives.items():
+        deployed = [catalog[s - 1].kind for s in entry.genes if s > 0]
+        cost, energy = deployment_totals(entry.genes, catalog)
+        rows.append([name, _fmt(entry.objectives[0]), coverage_units,
+                     _fmt(entry.objectives[1]), _fmt(entry.objectives[2]),
+                     str(len(deployed))]
+                    + [str(deployed.count(k)) for k in kinds]
+                    + [_fmt(cost), _fmt(energy),
+                       ";".join(str(g) for g in entry.genes)])
     write_csv(path, header_lines, columns, rows)
 
 
@@ -283,8 +236,8 @@ def write_reduction_table(stats_by_solution: Mapping[str, Sequence[RoiReduction]
             rows.append([name, str(r.roi), str(r.t + 1), _fmt(r.area_ref_m2),
                          _fmt(r.area_m2), _fmt(r.reduction_pct),
                          _fmt(r.gain_min_db), _fmt(r.gain_max_db),
-                         _fmt(r.gain_avg_db), _fmt(r.drop_min_db),
-                         _fmt(r.drop_max_db), _fmt(r.drop_avg_db)])
+                         _fmt(r.gain_avg_db), _fmt(-r.gain_max_db),
+                         _fmt(-r.gain_min_db), _fmt(-r.gain_avg_db)])
     write_csv(path, header_lines, columns, rows)
 
 
@@ -295,7 +248,7 @@ def write_cdf_csv(thresholds: np.ndarray, probabilities: np.ndarray, path,
     write_csv(path, header_lines, ["power_dbm", "cdf"], rows)
 
 
-def write_archive_csv(archive: ParetoArchive, path,
+def write_archive_csv(archive: Sequence[ArchiveEntry], path,
                       header_lines: Sequence[str] = ()) -> None:
     columns = ["coverage_deficit", "cost_fraction", "energy_fraction", "genes"]
     rows = [[_fmt(e.objectives[0]), _fmt(e.objectives[1]), _fmt(e.objectives[2]),
@@ -303,7 +256,7 @@ def write_archive_csv(archive: ParetoArchive, path,
     write_csv(path, header_lines, columns, rows)
 
 
-def read_archive_csv(path) -> ParetoArchive:
+def read_archive_csv(path) -> tuple[ArchiveEntry, ...]:
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh
@@ -313,4 +266,4 @@ def read_archive_csv(path) -> ParetoArchive:
         entries.append(ArchiveEntry(
             genes=tuple(int(g) for g in genes.split(";")) if genes else (),
             objectives=(float(cv), float(cs), float(ec))))
-    return ParetoArchive(entries=tuple(entries))
+    return tuple(entries)

@@ -67,10 +67,12 @@ def _db_path(args: argparse.Namespace) -> str:
 
 
 def _current_db(args: argparse.Namespace, scenario: Scenario):
-    """The cached database if it matches the scenario and options.
+    """The cached database and its site plan, if it matches the scenario
+    and options.
 
-    A missing, unreadable, truncated or foreign file, or one built from
-    another scenario or other options, raises StaleCacheError.
+    A missing, unreadable, truncated or foreign file, one without a
+    readable site plan, or one built from another scenario or other
+    options, raises StaleCacheError.
     """
     path = _db_path(args)
     if not os.path.exists(path):
@@ -85,7 +87,12 @@ def _current_db(args: argparse.Namespace, scenario: Scenario):
     if db.meta.mode != args.mode or db.meta.params != _db_params(args):
         raise StaleCacheError("database options differ from the requested "
                               "config; rerun dbgen")
-    return db
+    try:
+        plan = siteplanner.SitePlan.from_jsonable(db.plan_blob["assignments"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StaleCacheError(f"database {path} has no readable site plan "
+                              f"({exc!r}); rerun dbgen")
+    return db, plan
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +159,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     except ValueError as exc:  # GaConfig owns the GA bounds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    db = _current_db(args, scenario)
-    plan = siteplanner.SitePlan.from_jsonable(db.plan_blob["assignments"])
+    db, plan = _current_db(args, scenario)
     _, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     evaluator = objectives.Evaluator(
@@ -198,7 +204,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    db = _current_db(args, scenario)
+    db, _ = _current_db(args, scenario)
     archive_path = args.archive or os.path.join(args.out, "archive.csv")
     if not os.path.exists(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing; "
@@ -214,11 +220,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     representatives = analysis.select_representatives(archive)
-    summaries = [analysis.summarize_solution(name, representatives[name],
-                                             scenario.catalog)
-                 for name in analysis.REPRESENTATIVE_NAMES]
     analysis.write_solution_table(
-        summaries, os.path.join(args.out, "solutions.csv"), headers,
+        representatives, scenario.catalog,
+        os.path.join(args.out, "solutions.csv"), headers,
         coverage_units=args.coverage_units)
 
     reductions = {}

@@ -43,13 +43,6 @@ class GaConfig:
             raise ValueError(f"unknown crossover operator {self.crossover!r}")
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when a is no worse everywhere and strictly better somewhere."""
-    not_worse = all(x <= y for x, y in zip(a, b))
-    strictly = any(x < y for x, y in zip(a, b))
-    return not_worse and strictly
-
-
 def fast_nondominated_sort(objectives: Sequence[Sequence[float]]) -> list[int]:
     """Front index per individual (0 = non-dominated), Deb's O(MN^2) scheme.
 
@@ -103,37 +96,23 @@ class ArchiveEntry:
     objectives: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class ParetoArchive:
-    """Mutually non-dominated deployments, deduplicated by chromosome."""
-    entries: tuple[ArchiveEntry, ...]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def objective_array(self) -> np.ndarray:
-        return np.asarray([e.objectives for e in self.entries], dtype=float)
-
-    @classmethod
-    def from_population(cls, genes_list, objectives) -> "ParetoArchive":
-        ranks = fast_nondominated_sort(objectives)
-        seen = set()
-        entries = []
-        for i, rank in enumerate(ranks):
-            if rank != 0:
-                continue
-            genes = tuple(int(g) for g in genes_list[i])
-            if genes in seen:
-                continue
-            seen.add(genes)
-            entries.append(ArchiveEntry(genes=genes,
-                                        objectives=tuple(float(v)
-                                                         for v in objectives[i])))
-        entries.sort(key=lambda e: (e.objectives, e.genes))
-        return cls(entries=tuple(entries))
+def pareto_archive(genes_list, objectives) -> tuple[ArchiveEntry, ...]:
+    """The mutually non-dominated members of a population, one per chromosome,
+    sorted by (objectives, genes)."""
+    ranks = fast_nondominated_sort(objectives)
+    seen = set()
+    entries = []
+    for i, rank in enumerate(ranks):
+        if rank != 0:
+            continue
+        genes = tuple(int(g) for g in genes_list[i])
+        if genes in seen:
+            continue
+        seen.add(genes)
+        entries.append(ArchiveEntry(genes=genes,
+                                    objectives=tuple(float(v) for v in objectives[i])))
+    entries.sort(key=lambda e: (e.objectives, e.genes))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -145,7 +124,7 @@ class GenerationStats:
 
 @dataclass
 class EvolveResult:
-    archive: ParetoArchive
+    archive: tuple[ArchiveEntry, ...]
     trace: list[GenerationStats] = field(default_factory=list)
 
 
@@ -265,8 +244,7 @@ def evolve(config: GaConfig, evaluator: Callable,
         trace.append(_stats(generation, [g for g, _ in combined], comb_objs,
                             comb_ranks))
 
-    archive = ParetoArchive.from_population([g for g, _ in combined],
-                                            [o for _, o in combined])
+    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined])
     return EvolveResult(archive=archive, trace=trace)
 
 

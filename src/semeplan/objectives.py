@@ -44,33 +44,30 @@ def repair(genes, alphabets: Sequence[Sequence[int]]) -> np.ndarray:
                     dtype=int)
 
 
-def max_cost(catalog: Sequence[SeeType], plan: SitePlan) -> float:
-    return sum(max((catalog[s - 1].install_cost for s in plan.kind_values(n)),
-                   default=0.0) for n in range(plan.n_sites))
+def deployment_totals(genes, catalog: Sequence[SeeType]) -> tuple[float, float]:
+    """(install cost, energy use) of the devices a chromosome deploys.
+
+    Both sums run in site order, so equal genes give bit-identical totals.
+    """
+    cost = energy = 0.0
+    for s in genes:
+        if s > 0:
+            kind = catalog[s - 1]
+            cost += kind.install_cost
+            energy += kind.energy_w
+    return cost, energy
 
 
-def max_energy(catalog: Sequence[SeeType], plan: SitePlan) -> float:
-    return sum(max((catalog[s - 1].energy_w for s in plan.kind_values(n)),
-                   default=0.0) for n in range(plan.n_sites))
-
-
-def installed_cost(genes, catalog: Sequence[SeeType]) -> float:
-    return sum(catalog[s - 1].install_cost for s in np.asarray(genes, int) if s > 0)
-
-
-def installed_energy(genes, catalog: Sequence[SeeType]) -> float:
-    return sum(catalog[s - 1].energy_w for s in np.asarray(genes, int) if s > 0)
-
-
-def cost_fraction(genes, catalog: Sequence[SeeType], plan: SitePlan) -> float:
-    """Installed cost over the cost of the dearest feasible deployment."""
-    denom = max_cost(catalog, plan)
-    return installed_cost(genes, catalog) / denom if denom > 0 else 0.0
-
-
-def energy_fraction(genes, catalog: Sequence[SeeType], plan: SitePlan) -> float:
-    denom = max_energy(catalog, plan)
-    return installed_energy(genes, catalog) / denom if denom > 0 else 0.0
+def max_totals(catalog: Sequence[SeeType], plan: SitePlan) -> tuple[float, float]:
+    """(cost, energy) of the dearest feasible deployment, each summed in
+    site order over the per-site maxima: the normalizers of the cost and
+    energy fractions."""
+    cost = energy = 0.0
+    for n in range(plan.n_sites):
+        kinds = [catalog[s - 1] for s in plan.kind_values(n)]
+        cost += max((k.install_cost for k in kinds), default=0.0)
+        energy += max((k.energy_w for k in kinds), default=0.0)
+    return cost, energy
 
 
 def _deficit(power_dbm: np.ndarray, pth_dbm: float) -> np.ndarray:
@@ -113,8 +110,7 @@ class Evaluator:
         self._ref_terms = restrict(db.reference.values)
         self._entry_terms = {key: restrict(entry.values)
                              for key, entry in db.entries.items()}
-        self._max_cost = max_cost(self.catalog, plan)
-        self._max_energy = max_energy(self.catalog, plan)
+        self._max_cost, self._max_energy = max_totals(self.catalog, plan)
         self._memo: dict[tuple[int, ...], tuple[np.ndarray, ObjectiveVector]] = {}
 
     def _coverage(self, genes: np.ndarray) -> float:
@@ -134,14 +130,13 @@ class Evaluator:
         return total / self.db.time_instants
 
     def __call__(self, genes) -> tuple[np.ndarray, ObjectiveVector]:
-        key = tuple(np.asarray(genes, dtype=int).tolist())
+        key = tuple(genes)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         repaired = repair(key, self.alphabets)
         repaired.flags.writeable = False
-        cost = installed_cost(repaired, self.catalog)
-        energy = installed_energy(repaired, self.catalog)
+        cost, energy = deployment_totals(repaired.tolist(), self.catalog)
         vec = ObjectiveVector(
             coverage=self._coverage(repaired),
             cost=cost / self._max_cost if self._max_cost > 0 else 0.0,

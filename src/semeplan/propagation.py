@@ -56,31 +56,19 @@ def _sector_gain_dbi(sector: BtsSector, directions: np.ndarray) -> np.ndarray:
     return sector.max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
 
 
-@dataclass(frozen=True)
-class PencilBeam:
+def _pencil_gain_dbi(boresight: np.ndarray, max_gain_dbi: float,
+                     directions: np.ndarray) -> np.ndarray:
     """Symmetric beam whose width follows from the directive gain."""
-    boresight: tuple[float, float, float]
-    max_gain_dbi: float
-
-    @property
-    def beamwidth_deg(self) -> float:
-        # Classic aperture estimate: G ~ 41253 / (bw_az * bw_el) in degrees.
-        g_lin = 10.0 ** (self.max_gain_dbi / 10.0)
-        return float(np.sqrt(41253.0 / max(g_lin, 1.0)))
-
-    def gain_dbi(self, directions: np.ndarray) -> np.ndarray:
-        d = np.atleast_2d(directions)
-        b = np.asarray(self.boresight, dtype=float)
-        b = b / np.linalg.norm(b)
-        cos_psi = np.clip(d @ b, -1.0, 1.0)
-        psi = np.degrees(np.arccos(cos_psi))
-        att = 12.0 * (psi / self.beamwidth_deg) ** 2
-        return self.max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
-
-
-def sector_gain(sector: BtsSector, direction) -> float:
-    """Gain of a BTS sector toward a normalized direction, in dBi."""
-    return float(_sector_gain_dbi(sector, np.asarray(direction, float))[0])
+    # Classic aperture estimate: G ~ 41253 / (bw_az * bw_el) in degrees.
+    g_lin = 10.0 ** (max_gain_dbi / 10.0)
+    beamwidth_deg = float(np.sqrt(41253.0 / max(g_lin, 1.0)))
+    d = np.atleast_2d(directions)
+    b = np.asarray(boresight, dtype=float)
+    b = b / np.linalg.norm(b)
+    cos_psi = np.clip(d @ b, -1.0, 1.0)
+    psi = np.degrees(np.arccos(cos_psi))
+    att = 12.0 * (psi / beamwidth_deg) ** 2
+    return max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +193,21 @@ def point_power_dbm(scenario: Scenario, points, *,
                      for values in _bts_fields(scenario, points, wall_loss_db)])
 
 
-def see_contribution(scenario: Scenario, site: CandidateSite, kind: SeeType,
-                     roi_targets: Sequence, *,
-                     wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> FieldGrid:
-    """Field radiated by one device at one site, one slab per time instant.
+def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarray,
+                 aimed_kinds: Sequence[tuple[SeeType, Sequence]],
+                 wall_loss_db: float) -> list[FieldGrid]:
+    """Field radiated by one site for each (kind, roi_targets) pair, one
+    slab per time instant.
 
-    `roi_targets` gives the aim point for each time instant (the covered
+    `incident_dbm` is the BTS power at the site per instant, and
+    `roi_targets` gives the aim point for each instant (the covered
     region's barycenter at receiver height).  Passive skins re-radiate the
     incident BTS power through an aperture-gain beam; the static variant
     keeps a single pointing at the time-averaged target, the
     reconfigurable one re-aims per instant.  Repeaters forward with their
     own power when the backhaul power clears the sensitivity threshold;
     access-backhaul nodes radiate regardless, as regenerative micro cells.
-    """
-    incident_dbm = point_power_dbm(scenario, site.position,
-                                   wall_loss_db=wall_loss_db)[:, 0]
-    return _site_fields(scenario, site, incident_dbm, [(kind, roi_targets)],
-                        wall_loss_db)[0]
-
-
-def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarray,
-                 aimed_kinds: Sequence[tuple[SeeType, Sequence]],
-                 wall_loss_db: float) -> list[FieldGrid]:
-    """`see_contribution` of each (kind, roi_targets) pair at one site.
-
-    `incident_dbm` is the BTS power at the site per instant.  Every
-    (kind, instant) source of the site radiates in one call.
+    Every (kind, instant) source of the site radiates in one call.
     """
     grid = scenario.grid
     points = grid.centers()
@@ -262,9 +239,9 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
             if norm < 1e-9:
                 boresight = np.array([1.0, 0.0, 0.0])
                 norm = 1.0
-            beam = PencilBeam(boresight=tuple(boresight / norm),
-                              max_gain_dbi=float(10.0 * np.log10(gain)))
-            sources.append(_Source(power_w=power_w, gain_dbi=beam.gain_dbi,
+            gain_dbi = functools.partial(_pencil_gain_dbi, boresight / norm,
+                                         float(10.0 * np.log10(gain)))
+            sources.append(_Source(power_w=power_w, gain_dbi=gain_dbi,
                                    extra_path_m=extra))
     values = _radiate(scenario, position, sources, points, walls, wall_loss_db)
     return [FieldGrid(grid=grid, values=kind_values) for kind_values in values.reshape(
@@ -314,10 +291,9 @@ def build_database(scenario: Scenario, reference: FieldGrid,
 
     `reference` is the scenario's `reference_field` at the same wall loss.
     `assignments` maps (site index, gene value) to the per-instant aim
-    points for that pair, as produced by the site planner.  Each entry
-    equals that pair's `see_contribution`.  One `point_power_dbm` call
-    gives the BTS power at every entry site, and each site radiates all of
-    its kinds in one call.
+    points for that pair, as produced by the site planner.  One
+    `point_power_dbm` call gives the BTS power at every entry site, and
+    each site radiates all of its kinds in one `_site_fields` call.
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")

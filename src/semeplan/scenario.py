@@ -188,10 +188,6 @@ class Scenario:
         return len(self.sites)
 
     @property
-    def n_kinds(self) -> int:
-        return len(self.catalog)
-
-    @property
     def time_instants(self) -> int:
         return self.bts.time_instants
 
@@ -439,12 +435,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for s in scenario.sites
         ],
     }
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def buildings_from_geojson(doc: Mapping, default_height: float = 10.0) -> list[dict]:

@@ -19,14 +19,6 @@ from .csvfile import write_csv, write_grid_csv
 from .scenario import CandidateSite, GridSpec, Scenario, SeeType
 from .units import dbm_to_watts
 
-EXCLUSION_REASONS = (
-    "outside_region",
-    "unfeasible_incident_angle",
-    "unfeasible_reflection_angle",
-    "low_incidence_power",
-    "below_sensitivity",
-)
-
 
 @dataclass(frozen=True)
 class Roi:
@@ -41,9 +33,6 @@ class Roi:
     barycenters: tuple[tuple[float, float] | None, ...]
     avg_barycenter: tuple[float, float]
     cell_area: float
-
-    def area(self, t: int) -> float:
-        return len(self.cells[t]) * self.cell_area
 
     def target_points(self, height: float) -> np.ndarray:
         """Per-instant aim points at the given height, (T, 3).
@@ -332,8 +321,6 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
                     feasible = True
                 elif class_reason is None:
                     class_reason = k_reason
-            if not active_kinds:
-                class_reason = "outside_region"
             rows.append(FeasibilityRow(
                 site=n, roi=roi.index, kind_class="ASE", feasible=feasible,
                 reason="" if feasible else (class_reason or "outside_region")))

@@ -1,7 +1,8 @@
 """Shared helpers for building tiny hand-specified databases in tests."""
 import numpy as np
 
-from semeplan.propagation import DbMeta, FieldGrid, MapDatabase
+from semeplan.propagation import (DEFAULT_WALL_LOSS_DB, DbMeta, FieldGrid,
+                                  MapDatabase, _site_fields, point_power_dbm)
 from semeplan.scenario import scenario_from_dict
 from semeplan.units import FREE_SPACE_IMPEDANCE, dbm_to_watts
 
@@ -10,6 +11,16 @@ def field_from_dbm(dbm, wavelength):
     """Field amplitude (single component) giving the stated received power."""
     watts = dbm_to_watts(dbm)
     return np.sqrt(watts * 8.0 * np.pi * FREE_SPACE_IMPEDANCE) / wavelength
+
+
+def see_contribution(scenario, site, kind, roi_targets, *,
+                     wall_loss_db=DEFAULT_WALL_LOSS_DB) -> FieldGrid:
+    """Field radiated by one device at one site, one slab per time instant:
+    the database entry of that (site, kind) pair, computed on its own."""
+    incident_dbm = point_power_dbm(scenario, site.position,
+                                   wall_loss_db=wall_loss_db)[:, 0]
+    return _site_fields(scenario, site, incident_dbm, [(kind, roi_targets)],
+                        wall_loss_db)[0]
 
 
 def tiny_db(cell_powers_dbm, wavelength=0.0857, spacing=5.0, mode="coherent"):

@@ -9,9 +9,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from semeplan.nsga2 import (CROSSOVER_RATE, EvolveError, EvolveResult, GaConfig,
-                            GenerationStats, ParetoArchive, fast_nondominated_sort)
+                            GenerationStats, fast_nondominated_sort, pareto_archive)
 
 TOURNAMENT_SIZE = 2
+
+
+def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
+    """True when a is no worse everywhere and strictly better somewhere."""
+    not_worse = all(x <= y for x, y in zip(a, b))
+    strictly = any(x < y for x, y in zip(a, b))
+    return not_worse and strictly
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -133,6 +140,5 @@ def evolve(config: GaConfig, evaluator: Callable,
         trace.append(_stats(generation, [g for g, _ in combined], comb_objs,
                             comb_ranks))
 
-    archive = ParetoArchive.from_population([g for g, _ in combined],
-                                            [o for _, o in combined])
+    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined])
     return EvolveResult(archive=archive, trace=trace)

@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from semeplan.objectives import (ObjectiveVector, _deficit, cost_fraction,
-                                 energy_fraction, repair)
+from semeplan.objectives import (ObjectiveVector, _deficit, deployment_totals,
+                                 max_totals, repair)
 from semeplan.propagation import MapDatabase, power_map_dbm
 from semeplan.scenario import SeeType
 from semeplan.siteplanner import SitePlan
@@ -42,15 +42,21 @@ def coverage_deficit(db: MapDatabase, genes, cells_per_t: Sequence[np.ndarray],
     return total / t_count
 
 
+def fractions(genes, catalog: Sequence[SeeType],
+              plan: SitePlan) -> tuple[float, float]:
+    """Installed cost and energy over those of the dearest feasible deployment."""
+    cost, energy = deployment_totals(genes, catalog)
+    max_cost, max_energy = max_totals(catalog, plan)
+    return (cost / max_cost if max_cost > 0 else 0.0,
+            energy / max_energy if max_energy > 0 else 0.0)
+
+
 def evaluate(db: MapDatabase, genes, cells_per_t, pth_dbm: float,
              catalog: Sequence[SeeType], plan: SitePlan,
              *, normalized: bool = False) -> tuple[np.ndarray, ObjectiveVector]:
     """Repair the chromosome and score all three objectives."""
     repaired = repair(genes, plan.alphabets())
-    vec = ObjectiveVector(
-        coverage=coverage_deficit(db, repaired, cells_per_t, pth_dbm,
-                                  normalized=normalized),
-        cost=cost_fraction(repaired, catalog, plan),
-        energy=energy_fraction(repaired, catalog, plan),
-    )
+    vec = ObjectiveVector(coverage_deficit(db, repaired, cells_per_t, pth_dbm,
+                                           normalized=normalized),
+                          *fractions(repaired, catalog, plan))
     return repaired, vec

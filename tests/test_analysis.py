@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from semeplan.analysis import (BlindSpot, coverage_cdf, empirical_cdf,
                                extract_blindspot, read_archive_csv,
                                reduction_stats, select_representatives,
-                               summarize_solution, write_archive_csv)
-from semeplan.nsga2 import ArchiveEntry, ParetoArchive
+                               write_archive_csv, write_reduction_table,
+                               write_solution_table)
+from semeplan.nsga2 import ArchiveEntry
 from semeplan.propagation import power_map_dbm
 from semeplan.siteplanner import Roi
 
@@ -157,15 +158,13 @@ def test_coverage_cdf_reference_region(coverable):
     assert at_pth[0] == 1.0
     assert (np.diff(cdf) >= 0).all()
     with pytest.raises(ValueError, match="at least one value|empty"):
-        empty = BlindSpot(masks=np.zeros((1, 2, 2), bool), components=((),),
-                          min_cells=4)
+        empty = BlindSpot(masks=np.zeros((1, 2, 2), bool), components=((),))
         coverage_cdf(power, empty, 0, grid)
 
 
 def archive_of(vectors):
-    return ParetoArchive(tuple(
-        ArchiveEntry(genes=(i,), objectives=tuple(v))
-        for i, v in enumerate(vectors)))
+    return tuple(ArchiveEntry(genes=(i,), objectives=tuple(v))
+                 for i, v in enumerate(vectors))
 
 
 def test_representatives_hand_example():
@@ -205,7 +204,15 @@ def test_representatives_brute_force_and_permutation():
             assert reps2[name].objectives == reps[name].objectives
 
 
-def test_reduction_stats_zero_and_full():
+def table_rows(path):
+    """The data rows of a written CSV table, each a {column: cell} dict."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, line.split(","))) for line in lines[1:]]
+
+
+def test_reduction_stats_zero_and_full(tmp_path):
     grid_area = 25.0
     roi = Roi(index=1, cells=(((2, 2), (2, 3)), ((2, 2),)),
               barycenters=((12.0, 10.0), (10.0, 10.0)),
@@ -219,7 +226,12 @@ def test_reduction_stats_zero_and_full():
     stats = reduction_stats(ref, lifted, [roi], PTH)
     assert all(s.reduction_pct == 100.0 for s in stats)
     assert all(s.gain_avg_db == pytest.approx(20.0) for s in stats)
-    assert all(s.drop_avg_db == pytest.approx(-20.0) for s in stats)
+    path = tmp_path / "reduction.csv"
+    write_reduction_table({"lifted": stats}, path)
+    for row in table_rows(path):  # drop columns: gains with the sign flipped
+        assert float(row["drop_avg_db"]) == -float(row["gain_avg_db"]) == -20.0
+        assert float(row["drop_min_db"]) == -float(row["gain_max_db"])
+        assert float(row["drop_max_db"]) == -float(row["gain_min_db"])
     assert stats[0].area_ref_m2 == 2 * grid_area
     assert stats[1].area_ref_m2 == 1 * grid_area
 
@@ -235,15 +247,18 @@ def test_reduction_counts_reference_cells_only():
     assert 0.0 <= stats[0].reduction_pct <= 100.0
 
 
-def test_summarize_counts_devices(coverable):
+def test_summarize_counts_devices(coverable, tmp_path):
     entry = ArchiveEntry(genes=(3, 4), objectives=(0.0, 0.5, 0.5))
-    summary = summarize_solution("best_coverage", entry,
-                                 coverable["scenario"].catalog)
-    counts = dict(summary.device_counts)
-    assert counts["SR"] == 1 and counts["IAB"] == 1
-    assert summary.n_devices == 2
-    assert summary.total_cost == 10500.0
-    assert summary.total_energy_w == 370.0
+    path = tmp_path / "solutions.csv"
+    write_solution_table({"best_coverage": entry},
+                         coverable["scenario"].catalog, path)
+    [row] = table_rows(path)
+    assert row["solution"] == "best_coverage" and row["genes"] == "3;4"
+    assert row["n_SP-EMS"] == row["n_RP-EMS"] == "0"
+    assert row["n_SR"] == row["n_IAB"] == "1"
+    assert row["n_devices"] == "2"
+    assert row["total_cost"] == "10500.0"
+    assert row["total_energy_w"] == "370.0"
 
 
 def test_archive_csv_round_trip(tmp_path):

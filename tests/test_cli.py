@@ -163,15 +163,39 @@ def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def _with_header(blob, edit):
+    """The database file `blob` with `edit` applied to its JSON header."""
+    start = len(b"SEMEDB01") + 4
+    end = start + int.from_bytes(blob[start - 4:start], "little")
+    header = json.loads(blob[start:end])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return blob[:start - 4] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+
+
+def _drop_plan(header):
+    del header["plan"]
+
+
+def _spoil_gene(header):
+    header["plan"]["assignments"][0][0][0] = "x"  # not a gene value
+
+
+DAMAGES = {
+    "truncated": lambda blob: blob[:len(blob) // 2],
+    "garbage": lambda blob: bytes(range(256)) * 8,
+    "no_plan": lambda blob: _with_header(blob, _drop_plan),
+    "bad_plan": lambda blob: _with_header(blob, _spoil_gene),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "no_plan", "bad_plan"])
 def test_damaged_database_is_stale(workspace, damage):
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0
     assert main(["optimize"] + base + FAST_GA) == 0
     fresh = (out / "mapdb.bin").read_bytes()
-    damaged = (fresh[:len(fresh) // 2] if damage == "truncated"
-               else bytes(range(256)) * 8)
-    (out / "mapdb.bin").write_bytes(damaged)
+    (out / "mapdb.bin").write_bytes(DAMAGES[damage](fresh))
     assert main(["optimize"] + base + FAST_GA) == 3
     assert main(["report"] + base) == 3
     assert main(["dbgen"] + base) == 0

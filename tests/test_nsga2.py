@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nsga2_oracle
-from semeplan.nsga2 import (EvolveError, GaConfig, ParetoArchive,
-                            _contestant_draw, crowding_distance, dominates,
-                            evolve, fast_nondominated_sort, hypervolume)
+from nsga2_oracle import dominates
+from semeplan.nsga2 import (EvolveError, GaConfig, _contestant_draw,
+                            crowding_distance, evolve, fast_nondominated_sort,
+                            hypervolume, pareto_archive)
 
 
 def brute_force_ranks(objectives):
@@ -257,7 +258,9 @@ def test_hypervolume_matches_monte_carlo(points):
 
 
 def test_archive_from_population_dedup():
-    genes = [np.array([1, 0]), np.array([1, 0]), np.array([0, 1])]
-    objs = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    archive = ParetoArchive.from_population(genes, objs)
-    assert len(archive) == 2
+    genes = [np.array([1, 0]), np.array([1, 0]), np.array([0, 1]), (1, 1)]
+    objs = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)]
+    archive = pareto_archive(genes, objs)
+    # rank 0 only, one entry per chromosome, sorted by objectives
+    assert [e.genes for e in archive] == [(0, 1), (1, 0)]
+    assert [e.objectives for e in archive] == [objs[2], objs[0]]

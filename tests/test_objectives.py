@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semeplan import objectives
-from semeplan.objectives import (Evaluator, cost_fraction, energy_fraction,
-                                 installed_cost, installed_energy, max_cost,
-                                 max_energy, repair)
+from semeplan.objectives import (Evaluator, deployment_totals, max_totals,
+                                 repair)
 from semeplan.propagation import MapDatabase, MissingEntryError
 from dbtools import tiny_db
-from objectives_oracle import coverage_deficit, evaluate
+from objectives_oracle import coverage_deficit, evaluate, fractions
 from semeplan.scenario import SeeType
 from semeplan.siteplanner import SitePlan
 from semeplan.synthetic import DEFAULT_CATALOG
@@ -30,25 +29,24 @@ def all_kind_plan(n_sites):
 
 def test_cost_endpoints_and_example():
     plan = all_kind_plan(2)
-    assert cost_fraction([0, 0], CATALOG, plan) == 0.0
-    assert cost_fraction([4, 4], CATALOG, plan) == 1.0
-    got = cost_fraction([1, 4], CATALOG, plan)
+    assert fractions([0, 0], CATALOG, plan)[0] == 0.0
+    assert fractions([4, 4], CATALOG, plan)[0] == 1.0
+    got = fractions([1, 4], CATALOG, plan)[0]
     assert abs(got - 8000.0 / 15000.0) < 1e-12
 
 
 def test_energy_endpoints_and_example():
     plan = all_kind_plan(2)
-    assert energy_fraction([1, 1], CATALOG, plan) == 0.0  # skins draw nothing
-    assert energy_fraction([0, 0], CATALOG, plan) == 0.0
-    got = energy_fraction([3, 4], CATALOG, plan)
+    assert fractions([1, 1], CATALOG, plan)[1] == 0.0  # skins draw nothing
+    assert fractions([0, 0], CATALOG, plan)[1] == 0.0
+    got = fractions([3, 4], CATALOG, plan)[1]
     assert abs(got - 370.0 / 700.0) < 1e-12
-    assert energy_fraction([4, 4], CATALOG, plan) == 1.0
+    assert fractions([4, 4], CATALOG, plan)[1] == 1.0
 
 
 def test_max_cost_uses_feasible_kinds_only():
     plan = SitePlan((((1, 1), (2, 1)), ((1, 1), (2, 1), (3, 1), (4, 1))))
-    assert max_cost(CATALOG, plan) == 750.0 + 7500.0
-    assert max_energy(CATALOG, plan) == 2.0 + 350.0
+    assert max_totals(CATALOG, plan) == (750.0 + 7500.0, 2.0 + 350.0)
 
 
 def test_coverage_two_cell_hand_example():
@@ -233,7 +231,5 @@ def test_unnormalized_sums_additive_on_disjoint_supports(a, b):
     b = np.array(b)
     b[a > 0] = 0  # force disjoint installed sites
     merged = a + b
-    assert installed_cost(merged, CATALOG) == pytest.approx(
-        installed_cost(a, CATALOG) + installed_cost(b, CATALOG))
-    assert installed_energy(merged, CATALOG) == pytest.approx(
-        installed_energy(a, CATALOG) + installed_energy(b, CATALOG))
+    both = np.add(deployment_totals(a, CATALOG), deployment_totals(b, CATALOG))
+    assert deployment_totals(merged, CATALOG) == pytest.approx(tuple(both))

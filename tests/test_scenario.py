@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from semeplan.scenario import (ScenarioError, buildings_from_geojson,
                                load_scenario, scenario_from_dict,
-                               scenario_to_dict, save_scenario)
-from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario
+                               scenario_to_dict)
+from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario, write_scenario
 
 MINIMAL = {
     "frequency_hz": 3.5e9,
@@ -27,7 +27,7 @@ def test_minimal_scenario_loads():
     assert sc.bts.sector_count == 1
     assert sc.time_instants == 1
     assert sc.n_sites == 0
-    assert sc.n_kinds == 0
+    assert sc.catalog == ()
 
 
 def test_facade_site_rejects_active_kinds():
@@ -68,7 +68,7 @@ def test_wavelength_values():
 def test_round_trip_identity(tmp_path):
     sc = scenario_from_dict(demo_scenario())
     path = tmp_path / "scenario.json"
-    save_scenario(sc, path)
+    write_scenario(scenario_to_dict(sc), path)
     again = load_scenario(path)
     assert again == sc
     assert scenario_from_dict(scenario_to_dict(sc)) == sc

@@ -280,6 +280,4 @@ def test_build_rois_time_matching():
     # average barycenter over existing instants only: x means 7.5 then 12.5
     assert a.avg_barycenter[0] == pytest.approx((7.5 + 12.5) / 2.0)
     assert b.avg_barycenter == b.barycenters[0]
-    # missing instants contribute zero area
-    assert b.area(1) == 0.0
     assert c.target_points(1.5)[0][0] == pytest.approx(c.avg_barycenter[0])
