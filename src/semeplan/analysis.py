@@ -11,7 +11,7 @@ import numpy as np
 from .csvfile import write_csv
 from .nsga2 import ArchiveEntry
 from .objectives import deployment_totals
-from .propagation import FieldGrid, fields_to_power_watts
+from .propagation import fields_to_power_watts
 from .scenario import SeeType
 from .siteplanner import Roi
 from .units import watts_to_dbm
@@ -81,12 +81,11 @@ def extract_blindspot(power_dbm: np.ndarray, pth_dbm: float,
     return BlindSpot(masks=masks, components=components)
 
 
-def reference_blindspot(reference: FieldGrid, wavelength: float, pth_dbm: float,
+def reference_blindspot(reference: np.ndarray, wavelength: float, pth_dbm: float,
                         min_cells: int = 4) -> tuple[np.ndarray, BlindSpot]:
     """(T, ny, nx) dBm power of a reference field and its blind spot."""
-    power = np.stack([watts_to_dbm(fields_to_power_watts(reference.values[t],
-                                                         wavelength))
-                      for t in range(reference.time_instants)])
+    power = np.stack([watts_to_dbm(fields_to_power_watts(values, wavelength))
+                      for values in reference])
     return power, extract_blindspot(power, pth_dbm, min_cells=min_cells)
 
 
@@ -256,14 +255,16 @@ def write_archive_csv(archive: Sequence[ArchiveEntry], path,
     write_csv(path, header_lines, columns, rows)
 
 
-def read_archive_csv(path) -> tuple[ArchiveEntry, ...]:
+def read_archive_csv(path) -> tuple[list[str], tuple[ArchiveEntry, ...]]:
+    """The `# ` header lines and the entries of an archive CSV."""
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh
-                if line.strip() and not line.startswith("#")]
+        lines = [line for line in fh if line.strip()]
+    headers = [line[2:].strip() for line in lines if line.startswith("# ")]
+    rows = [line.strip() for line in lines if not line.startswith("#")]
     for line in rows[1:]:
         cv, cs, ec, genes = line.split(",")
         entries.append(ArchiveEntry(
             genes=tuple(int(g) for g in genes.split(";")) if genes else (),
             objectives=(float(cv), float(cs), float(ec))))
-    return tuple(entries)
+    return headers, tuple(entries)

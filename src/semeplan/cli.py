@@ -67,12 +67,13 @@ def _db_path(args: argparse.Namespace) -> str:
 
 
 def _current_db(args: argparse.Namespace, scenario: Scenario):
-    """The cached database and its site plan, if it matches the scenario
-    and options.
+    """The cached database and its site plan, if the database is current:
+    its header equals the one dbgen would write for this scenario, these
+    options and the embedded plan.
 
-    A missing, unreadable, truncated or foreign file, one without a
-    readable site plan, or one built from another scenario or other
-    options, raises StaleCacheError.
+    A missing, unreadable, truncated or foreign file, one with a
+    non-finite grid value, without a readable site plan or with a plan
+    for other sites or kinds, or any other header raises StaleCacheError.
     """
     path = _db_path(args)
     if not os.path.exists(path):
@@ -81,17 +82,22 @@ def _current_db(args: argparse.Namespace, scenario: Scenario):
         db = propagation.load_database(path)
     except propagation.DatabaseError as exc:
         raise StaleCacheError(f"{exc}; rerun dbgen")
-    if db.meta.scenario_hash != scenario.content_hash():
-        raise StaleCacheError("database was built from a different scenario; "
-                              "rerun dbgen")
-    if db.meta.mode != args.mode or db.meta.params != _db_params(args):
-        raise StaleCacheError("database options differ from the requested "
-                              "config; rerun dbgen")
     try:
-        plan = siteplanner.SitePlan.from_jsonable(db.plan_blob["assignments"])
-    except (KeyError, TypeError, ValueError) as exc:
+        plan = siteplanner.SitePlan.from_jsonable(db.header["plan"]["assignments"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StaleCacheError(f"database {path} has no readable site plan "
                               f"({exc!r}); rerun dbgen")
+    if plan.n_sites != scenario.n_sites or any(
+            set(plan.kind_values(n)) - set(scenario.admissible_kind_values(n))
+            for n in range(plan.n_sites)):
+        raise StaleCacheError(f"database {path} embeds a site plan for other "
+                              "sites or kinds; rerun dbgen")
+    keys = [(n, s) for n in range(plan.n_sites) for s in plan.kind_values(n)]
+    expected = propagation.database_header(scenario, args.mode, _db_params(args),
+                                           keys, plan)
+    if db.header != expected:
+        raise StaleCacheError(f"database {path} was built from another scenario "
+                              "or other options, or is damaged; rerun dbgen")
     return db, plan
 
 
@@ -141,7 +147,7 @@ def cmd_dbgen(args: argparse.Namespace) -> int:
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
         mode=args.mode, wall_loss_db=args.wall_loss_db,
-        params=_db_params(args), plan_blob={"assignments": plan.to_jsonable()})
+        params=_db_params(args), plan=plan)
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
     return EXIT_OK
@@ -209,14 +215,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing; "
                               "run optimize first")
-    archive = analysis.read_archive_csv(archive_path)
+    headers = _headers(scenario.content_hash(), args)
+    written, archive = analysis.read_archive_csv(archive_path)
+    # The seed line is not compared: any restart's archive may be reported.
+    if any(line.split("=", 1)[0] in ("scenario_hash", "config")
+           and line not in headers for line in written):
+        raise StaleCacheError(f"archive {archive_path} was written from another "
+                              "scenario or with other options; rerun optimize")
     if len(archive) == 0:
         print("report: archive is empty", file=sys.stderr)
         return EXIT_RUNTIME
     ref_power, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
-    headers = _headers(scenario.content_hash(), args)
     os.makedirs(args.out, exist_ok=True)
 
     representatives = analysis.select_representatives(archive)

@@ -107,9 +107,8 @@ class Evaluator:
             return [deployment_term(db, grid_values[t][:, c[:, 0], c[:, 1]])
                     for t, c in enumerate(self.cells_per_t)]
 
-        self._ref_terms = restrict(db.reference.values)
-        self._entry_terms = {key: restrict(entry.values)
-                             for key, entry in db.entries.items()}
+        self._ref_terms = restrict(db.reference)
+        self._entry_terms = {key: restrict(entry) for key, entry in db.entries.items()}
         self._max_cost, self._max_energy = max_totals(self.catalog, plan)
         self._memo: dict[tuple[int, ...], tuple[np.ndarray, ObjectiveVector]] = {}
 

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .csvfile import replaced_atomically, write_grid_csv
 from .geometry import count_blocking_footprints
-from .scenario import BtsSector, CandidateSite, GridSpec, Scenario, SeeType
+from .scenario import (BtsSector, CandidateSite, GridSpec, Scenario, SeeType,
+                       _finite, _parse_grid)
 from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
+
+if TYPE_CHECKING:  # siteplanner imports this module
+    from .siteplanner import SitePlan
 
 DEFAULT_WALL_LOSS_DB = 20.0
 BACKLOBE_FLOOR_DB = 30.0
@@ -103,7 +108,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
 
     Every source sits at `position`, so the path geometry is formed once.
     `walls` counts the footprints that block the path from `position` to
-    each point.  A source without power leaves its slab zero.
+    each point.  A source without power leaves its slab zero.  A field
+    that overflows to a non-finite value raises ValueError.
     """
     wavelength = scenario.wavelength
     delta = points - position
@@ -122,6 +128,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
             / dist * loss
         phase = np.exp(-2j * np.pi * (dist + src.extra_path_m) / wavelength)
         slab += (amplitude * phase) * polarization
+    if not np.isfinite(slabs).all():
+        raise ValueError("computed field contains non-finite values")
     return slabs
 
 
@@ -145,26 +153,7 @@ def _bts_fields(scenario: Scenario, points: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Field grids
-
-
-@dataclass(eq=False)
-class FieldGrid:
-    """Complex field samples, indexed [t][component xyz][iy][ix]."""
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (None, 3, self.grid.ny, self.grid.nx)
-        shape = self.values.shape
-        if len(shape) != 4 or shape[1:] != expected[1:]:
-            raise ValueError(f"field grid shape {shape} does not match the grid spec")
-        if not np.isfinite(self.values).all():
-            raise ValueError("field grid contains non-finite values")
-
-    @property
-    def time_instants(self) -> int:
-        return self.values.shape[0]
+# Fields: (T, 3, ny, nx) complex128 arrays, indexed [t][component xyz][iy][ix]
 
 
 def fields_to_power_watts(values: np.ndarray, wavelength: float) -> np.ndarray:
@@ -178,11 +167,11 @@ def fields_to_power_watts(values: np.ndarray, wavelength: float) -> np.ndarray:
 
 
 def reference_field(scenario: Scenario, *,
-                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> FieldGrid:
+                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB) -> np.ndarray:
     """Field of the BTS alone over the grid, one slab per time instant."""
     grid = scenario.grid
     values = _bts_fields(scenario, grid.centers(), wall_loss_db)
-    return FieldGrid(grid=grid, values=values.reshape(-1, 3, grid.ny, grid.nx))
+    return values.reshape(-1, 3, grid.ny, grid.nx)
 
 
 def point_power_dbm(scenario: Scenario, points, *,
@@ -195,9 +184,9 @@ def point_power_dbm(scenario: Scenario, points, *,
 
 def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarray,
                  aimed_kinds: Sequence[tuple[SeeType, Sequence]],
-                 wall_loss_db: float) -> list[FieldGrid]:
-    """Field radiated by one site for each (kind, roi_targets) pair, one
-    slab per time instant.
+                 wall_loss_db: float) -> np.ndarray:
+    """Field radiated by one site for each (kind, roi_targets) pair, shape
+    (kinds, T, 3, ny, nx).
 
     `incident_dbm` is the BTS power at the site per instant, and
     `roi_targets` gives the aim point for each instant (the covered
@@ -244,49 +233,58 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
             sources.append(_Source(power_w=power_w, gain_dbi=gain_dbi,
                                    extra_path_m=extra))
     values = _radiate(scenario, position, sources, points, walls, wall_loss_db)
-    return [FieldGrid(grid=grid, values=kind_values) for kind_values in values.reshape(
-        len(aimed_kinds), scenario.time_instants, 3, grid.ny, grid.nx)]
+    return values.reshape(len(aimed_kinds), scenario.time_instants, 3,
+                          grid.ny, grid.nx)
 
 
 # ---------------------------------------------------------------------------
 # Map database
 
 
-@dataclass(frozen=True)
-class DbMeta:
-    scenario_hash: str
-    mode: str
-    params: dict[str, float] = field(default_factory=dict)
-
-
 @dataclass(eq=False)
 class MapDatabase:
-    """Reference field plus one field grid per feasible (site, kind) pair.
+    """Reference and per-(site, kind) entry fields, each (T, 3, ny, nx)
+    complex128, plus the header (`database_header`) saved with them.
 
     Entry keys are (site index 0-based, catalog gene value 1-based).
     """
     grid: GridSpec
     wavelength: float
-    reference: FieldGrid
-    entries: dict[tuple[int, int], FieldGrid]
-    meta: DbMeta
-    plan_blob: dict = field(default_factory=dict)  # serialized site plan, opaque here
+    reference: np.ndarray
+    entries: dict[tuple[int, int], np.ndarray]
+    header: dict
 
     @property
     def mode(self) -> str:
-        return self.meta.mode
+        return self.header["metadata"]["mode"]
 
     @property
     def time_instants(self) -> int:
-        return self.reference.time_instants
+        return self.reference.shape[0]
 
 
-def build_database(scenario: Scenario, reference: FieldGrid,
+def database_header(scenario: Scenario, mode: str, params: Mapping[str, float],
+                    keys: Iterable[tuple[int, int]], plan: SitePlan | None) -> dict:
+    """The header of a database of `scenario` built with `mode` and the
+    options `params`, holding the (site, gene value) entries `keys` and
+    embedding the site plan `plan` for the later stages."""
+    grid = scenario.grid
+    return {"metadata": {"scenario_hash": scenario.content_hash(), "mode": mode,
+                         "params": {k: float(v) for k, v in params.items()}},
+            "grid": {"origin": list(grid.origin), "spacing_m": grid.spacing,
+                     "nx": grid.nx, "ny": grid.ny, "height_m": grid.height},
+            "wavelength_m": scenario.wavelength,
+            "time_instants": scenario.time_instants,
+            "entries": sorted([int(n), int(s)] for n, s in keys),
+            "plan": {} if plan is None else {"assignments": plan.to_jsonable()}}
+
+
+def build_database(scenario: Scenario, reference: np.ndarray,
                    assignments: Mapping[tuple[int, int], Sequence],
                    *, mode: str = "coherent",
                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
-                   plan_blob: dict | None = None) -> MapDatabase:
+                   plan: SitePlan | None = None) -> MapDatabase:
     """Bundle the reference field with every assigned device contribution.
 
     `reference` is the scenario's `reference_field` at the same wall loss.
@@ -297,27 +295,25 @@ def build_database(scenario: Scenario, reference: FieldGrid,
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")
-    if (reference.grid != scenario.grid
-            or reference.time_instants != scenario.time_instants):
+    grid = scenario.grid
+    if reference.shape != (scenario.time_instants, 3, grid.ny, grid.nx):
         raise ValueError("reference field does not match the scenario")
     keys = sorted(assignments)
     sites = sorted({n for n, _ in keys})
     incident = point_power_dbm(scenario, [scenario.sites[n].position for n in sites],
                                wall_loss_db=wall_loss_db)
-    entries: dict[tuple[int, int], FieldGrid] = {}
+    entries: dict[tuple[int, int], np.ndarray] = {}
     for i, n in enumerate(sites):
         site_keys = [key for key in keys if key[0] == n]
         entries.update(zip(site_keys, _site_fields(
             scenario, scenario.sites[n], incident[:, i],
             [(scenario.catalog[s - 1], assignments[(n, s)]) for _, s in site_keys],
             wall_loss_db)))
-    all_params = {"wall_loss_db": wall_loss_db}
-    all_params.update(params or {})
-    meta = DbMeta(scenario_hash=scenario.content_hash(), mode=mode,
-                  params={k: float(v) for k, v in all_params.items()})
-    return MapDatabase(grid=scenario.grid, wavelength=scenario.wavelength,
-                       reference=reference, entries=entries, meta=meta,
-                       plan_blob=dict(plan_blob or {}))
+    header = database_header(scenario, mode,
+                             {"wall_loss_db": wall_loss_db, **(params or {})},
+                             keys, plan)
+    return MapDatabase(grid=grid, wavelength=scenario.wavelength,
+                       reference=reference, entries=entries, header=header)
 
 
 def selected_keys(db: MapDatabase, genes) -> list[tuple[int, int]]:
@@ -360,8 +356,8 @@ def deployment_power_watts(db: MapDatabase, reference_term: np.ndarray,
 def power_map_watts(db: MapDatabase, genes, t: int) -> np.ndarray:
     """Received power (W) over the whole grid for one deployment and instant."""
     return deployment_power_watts(
-        db, deployment_term(db, db.reference.values[t]),
-        [deployment_term(db, db.entries[key].values[t])
+        db, deployment_term(db, db.reference[t]),
+        [deployment_term(db, db.entries[key][t])
          for key in selected_keys(db, genes)])
 
 
@@ -373,44 +369,33 @@ def power_map_dbm(db: MapDatabase, genes, t: int) -> np.ndarray:
 # Persistence: JSON header plus raw little-endian complex64 grids
 
 
-def _header_dict(db: MapDatabase) -> dict:
-    return {
-        "metadata": {
-            "scenario_hash": db.meta.scenario_hash,
-            "mode": db.meta.mode,
-            "params": db.meta.params,
-        },
-        "grid": {
-            "origin": list(db.grid.origin),
-            "spacing_m": db.grid.spacing,
-            "nx": db.grid.nx,
-            "ny": db.grid.ny,
-            "height_m": db.grid.height,
-        },
-        "wavelength_m": db.wavelength,
-        "time_instants": db.time_instants,
-        "entries": sorted([int(n), int(s)] for (n, s) in db.entries),
-        "plan": db.plan_blob,
-    }
-
-
 def save_database(db: MapDatabase, path) -> None:
-    header = json.dumps(_header_dict(db), sort_keys=True,
-                        separators=(",", ":")).encode()
+    """Write the header, the reference, then the entries in directory order."""
+    header = json.dumps(db.header, sort_keys=True, separators=(",", ":")).encode()
     try:
         with replaced_atomically(path, "wb") as fh:
             fh.write(_DB_MAGIC)
             fh.write(np.array(len(header), dtype="<u4").tobytes())
             fh.write(header)
-            fh.write(np.ascontiguousarray(db.reference.values).astype("<c8").tobytes())
-            for key in sorted(db.entries):
-                fh.write(np.ascontiguousarray(db.entries[key].values)
+            fh.write(np.ascontiguousarray(db.reference).astype("<c8").tobytes())
+            for n, s in db.header["entries"]:
+                fh.write(np.ascontiguousarray(db.entries[(n, s)])
                          .astype("<c8").tobytes())
     except OSError as exc:
         raise DatabaseError(f"cannot write database {path}: {exc}")
 
 
+def _whole(value) -> int:
+    """A header count or index: a JSON integer, not 34.0 or true."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a JSON integer >= 0, got {value!r}")
+    return value
+
+
 def load_database(path) -> MapDatabase:
+    """Read a database file; DatabaseError if it is not one, if its header
+    does not describe it to the byte or has a field of the wrong type, or
+    if a grid value is not finite."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -424,20 +409,20 @@ def load_database(path) -> MapDatabase:
         raise DatabaseError(f"{path} is truncated inside its header")
     try:
         header = json.loads(blob[offset:offset + header_len].decode())
-        g = header["grid"]
-        grid = GridSpec(origin=tuple(g["origin"]), spacing=g["spacing_m"],
-                        nx=g["nx"], ny=g["ny"], height=g["height_m"])
-        shape = (header["time_instants"], 3, grid.ny, grid.nx)
-        count = int(np.prod(shape))
-        keys = [(int(n), int(s)) for n, s in header["entries"]]
-        meta = DbMeta(scenario_hash=header["metadata"]["scenario_hash"],
-                      mode=header["metadata"]["mode"],
-                      params={k: float(v) for k, v
-                              in header["metadata"]["params"].items()})
-        wavelength = header["wavelength_m"]
+        # The scenario's grid reader, but a count must be a JSON integer
+        grid = _parse_grid(header["grid"])
+        shape = (_whole(header["time_instants"]), 3,
+                 _whole(header["grid"]["ny"]), _whole(header["grid"]["nx"]))
+        keys = [(_whole(n), _whole(s)) for n, s in header["entries"]]
+        if len(set(keys)) != len(keys):
+            raise ValueError("the entry directory repeats an entry")
+        wavelength = _finite(header["wavelength_m"], "wavelength_m")
+        if header["metadata"]["mode"] not in COMBINING_MODES:
+            raise ValueError(f"unknown mode {header['metadata']['mode']!r}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DatabaseError(f"{path} has a malformed header: {exc!r}")
     offset += header_len
+    count = math.prod(shape)
     expected = offset + (1 + len(keys)) * count * np.dtype("<c8").itemsize
     if len(blob) != expected:
         raise DatabaseError(f"{path} is {len(blob)} bytes, its header "
@@ -446,15 +431,15 @@ def load_database(path) -> MapDatabase:
     def read_grid():
         nonlocal offset
         raw = np.frombuffer(blob, dtype="<c8", count=count, offset=offset)
+        if not np.isfinite(raw).all():
+            raise DatabaseError(f"{path} holds a non-finite field value")
         offset += raw.nbytes
-        return FieldGrid(grid=grid,
-                         values=raw.reshape(shape).astype(np.complex128))
+        return raw.reshape(shape).astype(np.complex128)
 
     reference = read_grid()
     entries = {key: read_grid() for key in keys}
-    return MapDatabase(grid=grid, wavelength=wavelength,
-                       reference=reference, entries=entries, meta=meta,
-                       plan_blob=header.get("plan", {}))
+    return MapDatabase(grid=grid, wavelength=wavelength, reference=reference,
+                       entries=entries, header=header)
 
 
 def export_power_csv(grid: GridSpec, power_dbm: np.ndarray, path,

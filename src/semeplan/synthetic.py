@@ -165,7 +165,7 @@ def benchmark_problem(pth_dbm: float = -65.0):
 
     from .analysis import reference_blindspot
     from .objectives import Evaluator
-    from .propagation import DbMeta, FieldGrid, MapDatabase, reference_field
+    from .propagation import MapDatabase, database_header, reference_field
     from .scenario import scenario_from_dict
     from .siteplanner import build_rois, qualify_sites
     from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts
@@ -197,11 +197,10 @@ def benchmark_problem(pth_dbm: float = -65.0):
                 for t in range(t_count):
                     for (iy, ix) in patches[n][t]:
                         values[t, 2, iy, ix] = amp
-            entries[(n, s)] = FieldGrid(grid=scenario.grid, values=values)
+            entries[(n, s)] = values
     db = MapDatabase(grid=scenario.grid, wavelength=scenario.wavelength,
                      reference=reference, entries=entries,
-                     meta=DbMeta(scenario_hash=scenario.content_hash(),
-                                 mode="incoherent"))
+                     header=database_header(scenario, "incoherent", {}, entries, plan))
     evaluator = Evaluator(db, blindspot.cells_per_t(), pth_dbm,
                           scenario.catalog, plan)
     return scenario, blindspot, plan, db, evaluator

@@ -232,11 +232,11 @@ def test_c06_superposition_equivalence():
         for t in range(2):
             via_db = power_map_watts(db, genes, t)
             if mode == "coherent":
-                total = ref.values[t] + sum(f.values[t] for f in fields.values())
+                total = ref[t] + sum(f[t] for f in fields.values())
                 scratch = (np.abs(total) ** 2).sum(axis=0) * lam ** 2 \
                     / (8.0 * np.pi * FREE_SPACE_IMPEDANCE)
             else:
-                parts = [ref.values[t]] + [f.values[t] for f in fields.values()]
+                parts = [ref[t]] + [f[t] for f in fields.values()]
                 scratch = sum((np.abs(p) ** 2).sum(axis=0) for p in parts) \
                     * lam ** 2 / (8.0 * np.pi * FREE_SPACE_IMPEDANCE)
             np.testing.assert_allclose(via_db, scratch, rtol=1e-9)

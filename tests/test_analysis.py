@@ -265,6 +265,7 @@ def test_archive_csv_round_trip(tmp_path):
     archive = archive_of([(0.25, 0.5, 0.75), (1.0, 0.0, 0.125)])
     path = tmp_path / "archive.csv"
     write_archive_csv(archive, path, ["scenario_hash=x"])
-    again = read_archive_csv(path)
+    headers, again = read_archive_csv(path)
+    assert headers == ["scenario_hash=x"]
     assert [e.objectives for e in again] == [e.objectives for e in archive]
     assert [e.genes for e in again] == [e.genes for e in archive]

@@ -4,11 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import semeplan
-from semeplan import propagation
+from semeplan import cli, propagation
 from semeplan.cli import build_parser, main
+from semeplan.scenario import load_scenario
 from semeplan.synthetic import coverable_toy, demo_scenario, write_scenario
+from dbtools import with_header, with_nan
+from test_scenario import LEAF_MUTATIONS, _DELETE, _leaf_paths
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
            "--mutation-rate", "0.2"]
@@ -163,16 +167,6 @@ def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _with_header(blob, edit):
-    """The database file `blob` with `edit` applied to its JSON header."""
-    start = len(b"SEMEDB01") + 4
-    end = start + int.from_bytes(blob[start - 4:start], "little")
-    header = json.loads(blob[start:end])
-    edit(header)
-    raw = json.dumps(header).encode()
-    return blob[:start - 4] + len(raw).to_bytes(4, "little") + raw + blob[end:]
-
-
 def _drop_plan(header):
     del header["plan"]
 
@@ -181,15 +175,64 @@ def _spoil_gene(header):
     header["plan"]["assignments"][0][0][0] = "x"  # not a gene value
 
 
+def _float_nx(header):
+    header["grid"]["nx"] = float(header["grid"]["nx"])
+
+
+def _wavelength_text(header):
+    header["wavelength_m"] = str(header["wavelength_m"])
+
+
+def _duplicate_entry(header):
+    # The file size still matches: the last grid now claims the first key.
+    header["entries"][-1] = header["entries"][0]
+
+
+def _wider_spacing(header):
+    header["grid"]["spacing_m"] += 1.0
+
+
+def _unknown_mode(header):
+    header["metadata"]["mode"] = "sideways"
+
+
+def _extra_entry(blob, new_site):
+    """Plan, directory and grids agree on one more entry, which the scenario
+    cannot hold: kind 1 at a site past its last, or kind 5 (the toy catalog
+    has 4) at its last site.  The entry sorts last and repeats the last grid."""
+    grid_bytes = []
+
+    def add(header):
+        grid = header["grid"]
+        grid_bytes.append(8 * header["time_instants"] * 3 * grid["ny"] * grid["nx"])
+        sites = header["plan"]["assignments"]
+        if new_site:
+            sites.append([])
+        kind = 1 if new_site else 5
+        sites[-1].append([kind, 1])
+        header["entries"].append([len(sites) - 1, kind])
+
+    damaged = with_header(blob, add)
+    return damaged + blob[-grid_bytes[0]:]
+
+
 DAMAGES = {
     "truncated": lambda blob: blob[:len(blob) // 2],
     "garbage": lambda blob: bytes(range(256)) * 8,
-    "no_plan": lambda blob: _with_header(blob, _drop_plan),
-    "bad_plan": lambda blob: _with_header(blob, _spoil_gene),
+    "no_plan": lambda blob: with_header(blob, _drop_plan),
+    "bad_plan": lambda blob: with_header(blob, _spoil_gene),
+    "nan_grid": with_nan,
+    "nx_float": lambda blob: with_header(blob, _float_nx),
+    "wavelength_text": lambda blob: with_header(blob, _wavelength_text),
+    "duplicate_entry": lambda blob: with_header(blob, _duplicate_entry),
+    "grid_spacing": lambda blob: with_header(blob, _wider_spacing),
+    "unknown_mode": lambda blob: with_header(blob, _unknown_mode),
+    "foreign_site": lambda blob: _extra_entry(blob, new_site=True),
+    "foreign_kind": lambda blob: _extra_entry(blob, new_site=False),
 }
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "no_plan", "bad_plan"])
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
 def test_damaged_database_is_stale(workspace, damage):
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0
@@ -200,6 +243,76 @@ def test_damaged_database_is_stale(workspace, damage):
     assert main(["report"] + base) == 3
     assert main(["dbgen"] + base) == 0
     assert (out / "mapdb.bin").read_bytes() == fresh
+
+
+@pytest.fixture(scope="module")
+def saved_database(tmp_path_factory):
+    """Options, scenario and file path of a saved coverable toy database."""
+    scenario = tmp_path_factory.mktemp("saved") / "scenario.json"
+    write_scenario(coverable_toy(), scenario)
+    argv = ["--scenario", str(scenario), "--out", str(scenario.parent / "run"),
+            "--mode", "incoherent"]
+    assert main(["dbgen"] + argv) == 0
+    args = build_parser().parse_args(["optimize"] + argv)
+    return args, load_scenario(scenario), (scenario.parent / "run" / "mapdb.bin")
+
+
+def _outside_plan(header):
+    return json.dumps({k: v for k, v in header.items() if k != "plan"},
+                      sort_keys=True)
+
+
+# Each leaf of the header takes a drawn text or one of LEAF_MUTATIONS.  The
+# database is then stale, or current with the header outside the plan
+# unchanged: a plan's region indices are matched against nothing.
+@given(data=st.data(), text=st.text("0123456789.eE-x", max_size=6))
+def test_mutated_database_header_is_stale_or_unchanged(saved_database, data, text):
+    args, scenario, path = saved_database
+    fresh = path.read_bytes()
+    original = propagation.load_database(path).header
+    leaf = data.draw(st.sampled_from(_leaf_paths(original)))
+    try:
+        for value in [text] + LEAF_MUTATIONS:
+            def mutate(header):
+                node = header
+                for key in leaf[:-1]:
+                    node = node[key]
+                if value is _DELETE:
+                    del node[leaf[-1]]
+                else:
+                    node[leaf[-1]] = value
+            path.write_bytes(with_header(fresh, mutate))
+            try:
+                db, _ = cli._current_db(args, scenario)
+            except cli.StaleCacheError:
+                continue
+            assert _outside_plan(db.header) == _outside_plan(original)
+    finally:
+        path.write_bytes(fresh)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_computed_field_fails_and_writes_no_database(tmp_path):
+    doc = coverable_toy()
+    for instant in doc["bts"]["time_instants"]:
+        for sector in instant["sectors"]:
+            sector["tx_power_w"] = 1e308  # the radiated power overflows
+    scenario = tmp_path / "scenario.json"
+    write_scenario(doc, scenario)
+    base = ["--scenario", str(scenario), "--out", str(tmp_path / "run")]
+    assert main(["sites"] + base) == 4
+    assert main(["dbgen"] + base) == 4
+    assert not (tmp_path / "run" / "mapdb.bin").exists()
+
+
+def test_report_refuses_an_archive_written_with_other_options(workspace):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA) == 0
+    assert main(["report"] + base + ["--coverage-units", "m2"]) == 3
+    assert not (out / "solutions.csv").exists()
+    assert main(["report"] + base) == 0
 
 
 def test_optimize_without_database_is_stale(workspace):
@@ -381,9 +494,9 @@ def test_documented_defaults(tmp_path):
     assert (out / "feasibility.csv").read_text().splitlines()[1] \
         == f"# config={echo}"
     db = propagation.load_database(out / "mapdb.bin")
-    assert db.meta.mode == "coherent"
-    assert dict(db.meta.params) == {"pth_dbm": -65.0, "roi_min_cells": 4.0,
-                                    "wall_loss_db": 20.0}
+    assert db.mode == "coherent"
+    assert db.header["metadata"]["params"] == {
+        "pth_dbm": -65.0, "roi_min_cells": 4.0, "wall_loss_db": 20.0}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == json.loads(echo)
     assert manifest["ga"] == {"population": max(4, 2 * len(doc["sites"])),

@@ -122,7 +122,7 @@ def test_evaluator_names_an_entry_missing_from_the_database(coverable, mode):
                         reference=db.reference,
                         entries={key: grid for key, grid in db.entries.items()
                                  if key != (site, kind)},
-                        meta=db.meta)
+                        header=db.header)
     ev = Evaluator(stale, coverable["blindspot"].cells_per_t(), PTH,
                    coverable["scenario"].catalog, coverable["plan"])
     genes = np.zeros(coverable["scenario"].n_sites, dtype=int)

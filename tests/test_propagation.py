@@ -6,9 +6,9 @@ import pytest
 
 from semeplan import propagation
 from semeplan.geometry import count_blocking_footprints
-from semeplan.propagation import (DbMeta, FieldGrid, MapDatabase,
-                                  fields_to_power_watts,
-                                  MissingEntryError, build_database, load_database,
+from semeplan.propagation import (MapDatabase, fields_to_power_watts,
+                                  MissingEntryError, build_database,
+                                  database_header, load_database,
                                   power_map_dbm, power_map_watts,
                                   reference_field,
                                   point_power_dbm, save_database,
@@ -17,6 +17,7 @@ from dbtools import see_contribution
 from semeplan.scenario import BtsSector, scenario_from_dict
 from semeplan.synthetic import demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE, watts_to_dbm
+from test_cli import DAMAGES
 
 SECTOR = BtsSector(azimuth_deg=30.0, downtilt_deg=5.0, tx_power_w=20.0,
                    max_gain_dbi=16.3, az_beamwidth_deg=65.0,
@@ -94,8 +95,8 @@ def test_single_wall_costs_exactly_wall_loss():
 def test_reference_field_finite_and_shaped():
     sc = open_field(nx=8, ny=6)
     ref = reference_field(sc)
-    assert ref.values.shape == (1, 3, 6, 8)
-    assert np.isfinite(ref.values).all()
+    assert ref.shape == (1, 3, 6, 8)
+    assert np.isfinite(ref).all()
 
 
 def _db_for(sc, assignments, mode="coherent"):
@@ -115,7 +116,7 @@ def test_all_zero_chromosome_reproduces_reference():
     for mode in ("coherent", "incoherent"):
         db = _db_for(sc, assignments, mode)
         zero = power_map_watts(db, [0], 0)
-        direct = (np.abs(db.reference.values[0]) ** 2).sum(axis=0) \
+        direct = (np.abs(db.reference[0]) ** 2).sum(axis=0) \
             * sc.wavelength ** 2 / (8.0 * np.pi * FREE_SPACE_IMPEDANCE)
         np.testing.assert_allclose(zero, direct, rtol=1e-12)
 
@@ -147,7 +148,7 @@ def test_ems_peak_power_matches_aperture_gain_budget():
     grid_cell = (6, 5)
     contribution = see_contribution(sc, sc.sites[0], sc.catalog[0],
                                     _targets(sc, target))
-    peak_w = (np.abs(contribution.values[0][:, grid_cell[0], grid_cell[1]]) ** 2
+    peak_w = (np.abs(contribution[0][:, grid_cell[0], grid_cell[1]]) ** 2
               ).sum() * sc.wavelength ** 2 / (8 * np.pi * FREE_SPACE_IMPEDANCE)
     incident = point_power_dbm(sc, np.array(site["position"]))[0, 0]
     gain_db = 10.0 * np.log10(4.0 * np.pi * 4.58 / sc.wavelength ** 2)
@@ -164,7 +165,7 @@ def test_repeater_below_sensitivity_is_silent():
     sc = open_field(catalog=catalog, sites=[site])
     contribution = see_contribution(sc, sc.sites[0], sc.catalog[0],
                                     _targets(sc, [40.0, 40.0, 1.5]))
-    assert np.all(contribution.values == 0.0)
+    assert np.all(contribution == 0.0)
 
 
 def test_reconfigurable_skin_same_target_same_field():
@@ -188,8 +189,7 @@ def test_reconfigurable_skin_same_target_same_field():
     target = [40.0, 25.0, 1.5]
     contribution = see_contribution(sc, sc.sites[0], sc.catalog[0],
                                     np.array([target, target]))
-    np.testing.assert_array_equal(contribution.values[0],
-                                  contribution.values[1])
+    np.testing.assert_array_equal(contribution[0], contribution[1])
 
 
 def test_database_entry_counting(coverable):
@@ -210,13 +210,13 @@ def test_database_determinism_and_roundtrip(tmp_path, coverable):
     assert p1.read_bytes() == p2.read_bytes()
 
     loaded = load_database(p1)
-    assert loaded.meta == db1.meta
+    assert loaded.header == db1.header
     assert sorted(loaded.entries) == sorted(db1.entries)
-    np.testing.assert_allclose(loaded.reference.values, db1.reference.values,
+    np.testing.assert_allclose(loaded.reference, db1.reference,
                                rtol=1e-6)
     key = sorted(db1.entries)[0]
-    np.testing.assert_allclose(loaded.entries[key].values,
-                               db1.entries[key].values, rtol=1e-5, atol=1e-12)
+    np.testing.assert_allclose(loaded.entries[key], db1.entries[key],
+                               rtol=1e-5, atol=1e-12)
 
 
 def test_missing_entry_raises(coverable):
@@ -229,9 +229,9 @@ def test_database_with_no_feasible_pairs_keeps_reference():
     sc = open_field(nx=6, ny=6)
     db = _db_for(sc, {})
     assert db.entries == {}
-    assert db.reference.values.shape == (1, 3, 6, 6)
+    assert db.reference.shape == (1, 3, 6, 6)
     np.testing.assert_allclose(power_map_watts(db, [], 0),
-                               fields_to_power_watts(db.reference.values[0],
+                               fields_to_power_watts(db.reference[0],
                                                      sc.wavelength))
 
 
@@ -252,11 +252,18 @@ def test_load_database_rejects_foreign_files(tmp_path, coverable):
         bogus.write_bytes(damaged)
         with pytest.raises(DatabaseError):
             load_database(bogus)
+    # a non-finite field value, a header count that is not an integer, a
+    # directory that names one entry twice, or a mode no sum is defined for
+    for damage, match in (("nan_grid", "non-finite"), ("nx_float", "integer"),
+                          ("duplicate_entry", "repeats"),
+                          ("unknown_mode", "unknown mode")):
+        bogus.write_bytes(DAMAGES[damage](blob))
+        with pytest.raises(DatabaseError, match=match):
+            load_database(bogus)
 
 
 class _ExplodingGrid:
-    @property
-    def values(self):
+    def __array__(self, *args, **kwargs):
         raise RuntimeError("grid unavailable")
 
 
@@ -268,7 +275,8 @@ def test_failed_save_keeps_previous_database(tmp_path, coverable):
     broken = MapDatabase(grid=db.grid, wavelength=db.wavelength,
                          reference=db.reference,
                          entries={**db.entries, (9, 9): _ExplodingGrid()},
-                         meta=db.meta)
+                         header={**db.header,
+                                 "entries": db.header["entries"] + [[9, 9]]})
     with pytest.raises(RuntimeError, match="grid unavailable"):
         save_database(broken, path)
     assert path.read_bytes() == before
@@ -278,10 +286,9 @@ def test_failed_save_keeps_previous_database(tmp_path, coverable):
 def test_destructive_interference_cancels_exactly():
     sc = open_field(nx=4, ny=4)
     ref = reference_field(sc)
-    anti = FieldGrid(grid=sc.grid, values=-ref.values.copy())
     db = MapDatabase(grid=sc.grid, wavelength=sc.wavelength, reference=ref,
-                     entries={(0, 1): anti},
-                     meta=DbMeta(scenario_hash="x", mode="coherent"))
+                     entries={(0, 1): -ref},
+                     header=database_header(sc, "coherent", {}, [(0, 1)], None))
     assert power_map_watts(db, [1], 0).max() == 0.0
     assert power_map_dbm(db, [1], 0)[2, 2] == -np.inf
 
@@ -293,8 +300,7 @@ def test_power_map_dbm_matches_watts(coverable):
     d = power_map_dbm(db, genes, 0)
     np.testing.assert_allclose(d, watts_to_dbm(w), rtol=1e-12)
     iy, ix = 3, 7
-    field = db.reference.values[0][:, iy, ix] \
-        + db.entries[(0, 1)].values[0][:, iy, ix]
+    field = db.reference[0][:, iy, ix] + db.entries[(0, 1)][0][:, iy, ix]
     assert watts_to_dbm(fields_to_power_watts(field, db.wavelength)) \
         == pytest.approx(d[iy, ix])
 
@@ -326,24 +332,24 @@ def test_database_equals_fresh_calls_in_both_modes():
         fresh[(n, s)] = see_contribution(own, own.sites[n], own.catalog[s - 1],
                                          targets)
     for db in dbs.values():
-        assert np.array_equal(db.reference.values, reference.values)
+        assert np.array_equal(db.reference, reference)
         assert sorted(db.entries) == sorted(fresh)
         for key, entry in fresh.items():
-            assert np.array_equal(db.entries[key].values, entry.values), key
+            assert np.array_equal(db.entries[key], entry), key
 
 
 def test_sectors_sharing_the_base_station_superpose_exactly():
     # Each single-sector scenario differs from the others, so none shares
     # wall counts; their fields add up to the three-sector field bit for bit.
     doc = demo_scenario()
-    total = reference_field(scenario_from_dict(doc)).values
+    total = reference_field(scenario_from_dict(doc))
     instants = doc["bts"]["time_instants"]
     summed = 0.0
     for k in range(len(instants[0]["sectors"])):
         single = copy.deepcopy(doc)
         for instant in single["bts"]["time_instants"]:
             instant["sectors"] = instant["sectors"][k:k + 1]
-        summed = summed + reference_field(scenario_from_dict(single)).values
+        summed = summed + reference_field(scenario_from_dict(single))
     assert np.array_equal(total, summed)
 
 
@@ -357,10 +363,9 @@ def test_wall_counts_do_not_leak_between_scenarios():
     assignments = _every_kind_everywhere(sc)
     db = _db_for(sc, assignments)
     db_other = _db_for(other, assignments)
-    assert not np.array_equal(db.reference.values, db_other.reference.values)
+    assert not np.array_equal(db.reference, db_other.reference)
     for key in assignments:
-        assert not np.array_equal(db.entries[key].values,
-                                  db_other.entries[key].values), key
+        assert not np.array_equal(db.entries[key], db_other.entries[key]), key
 
 
 def test_equal_scenarios_give_equal_fields_and_are_released():
@@ -370,7 +375,7 @@ def test_equal_scenarios_give_equal_fields_and_are_released():
     a, b = scenario_from_dict(doc), scenario_from_dict(doc)
     assert a == b and a is not b and hash(a) == hash(b)
     first = reference_field(a)
-    assert np.array_equal(reference_field(b).values, first.values)
+    assert np.array_equal(reference_field(b), first)
     alive = weakref.ref(a), weakref.ref(b)
     del a, b
     assert alive[0]() is None and alive[1]() is None
