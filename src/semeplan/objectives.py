@@ -19,14 +19,6 @@ from .siteplanner import SitePlan
 from .units import POWER_FLOOR_DBM, watts_to_dbm
 
 
-# Chromosomes an Evaluator remembers; the oldest is dropped first.  Scoring is
-# pure, so the limit bounds memory and cannot change a result.  An entry takes
-# about 0.9 kB at 30 sites, so the memo stays near 4 MB.  Repeats come mostly
-# from recent generations: on a 30-site town searched at the CLI defaults,
-# 4,096 entries catch 21 % of the calls and 65,536 (about 60 MB) only 32 %.
-_MEMO_LIMIT = 1 << 12
-
-
 class ObjectiveVector(NamedTuple):
     coverage: float
     cost: float
@@ -82,11 +74,9 @@ class Evaluator:
     Precomputes the reference's and every entry's superposition term
     (`propagation.deployment_term`: the complex field, or its power in the
     incoherent mode) restricted to the blind-spot cells, so one call is a
-    handful of small array sums.  Pure: identical inputs give identical
-    outputs, so each result is memoized on the incoming genes, as the
-    read-only repaired genes and the objective vector.  The memo holds the
-    last `_MEMO_LIMIT` chromosomes added and has no lock: one instance
-    serves one thread.
+    handful of small array sums.  Pure and stateless between calls:
+    identical genes give bit-identical outputs, and each call returns a
+    fresh repaired-genes array.  `nsga2.evolve` memoizes the calls it makes.
     """
 
     def __init__(self, db: MapDatabase, cells_per_t, pth_dbm: float,
@@ -110,7 +100,6 @@ class Evaluator:
         self._ref_terms = restrict(db.reference)
         self._entry_terms = {key: restrict(entry) for key, entry in db.entries.items()}
         self._max_cost, self._max_energy = max_totals(self.catalog, plan)
-        self._memo: dict[tuple[int, ...], tuple[np.ndarray, ObjectiveVector]] = {}
 
     def _coverage(self, genes: np.ndarray) -> float:
         keys = selected_keys(self.db, genes)
@@ -129,19 +118,11 @@ class Evaluator:
         return total / self.db.time_instants
 
     def __call__(self, genes) -> tuple[np.ndarray, ObjectiveVector]:
-        key = tuple(genes)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        repaired = repair(key, self.alphabets)
-        repaired.flags.writeable = False
+        repaired = repair(genes, self.alphabets)
         cost, energy = deployment_totals(repaired.tolist(), self.catalog)
         vec = ObjectiveVector(
             coverage=self._coverage(repaired),
             cost=cost / self._max_cost if self._max_cost > 0 else 0.0,
             energy=energy / self._max_energy if self._max_energy > 0 else 0.0,
         )
-        self._memo[key] = repaired, vec
-        if len(self._memo) > _MEMO_LIMIT:
-            del self._memo[next(iter(self._memo))]
         return repaired, vec

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nsga2_oracle
 from nsga2_oracle import dominates
+from semeplan import nsga2
 from semeplan.nsga2 import (EvolveError, GaConfig, _contestant_draw,
                             crowding_distance, evolve, fast_nondominated_sort,
                             hypervolume, pareto_archive)
@@ -11,13 +14,15 @@ from semeplan.nsga2 import (EvolveError, GaConfig, _contestant_draw,
 
 def brute_force_ranks(objectives):
     """Iterative peeling with pairwise domination checks."""
-    remaining = set(range(len(objectives)))
-    ranks = [None] * len(objectives)
+    n = len(objectives)
+    dominated_by = [[q for q in range(n) if dominates(objectives[q], objectives[p])]
+                    for p in range(n)]
+    remaining = set(range(n))
+    ranks = [None] * n
     level = 0
     while remaining:
         front = {p for p in remaining
-                 if not any(dominates(objectives[q], objectives[p])
-                            for q in remaining if q != p)}
+                 if not any(q in remaining for q in dominated_by[p])}
         for p in front:
             ranks[p] = level
         remaining -= front
@@ -40,13 +45,21 @@ def test_sort_chain_and_duplicates():
     assert fast_nondominated_sort(same) == [0] * 5
 
 
-def test_sort_matches_brute_force_on_random_populations():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        n = int(rng.integers(1, 40))
-        objs = rng.integers(0, 5, size=(n, 3)).astype(float)
-        objs = [tuple(row) for row in objs]
-        assert fast_nondominated_sort(objs) == brute_force_ranks(objs)
+@st.composite
+def populations(draw):
+    """2 or 3 objectives, up to 130 members, values from a small set so
+    that ties and duplicate rows occur; NaN compares false both ways."""
+    n_objectives = draw(st.integers(2, 3))
+    size = draw(st.integers(0, 130))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.5, float("nan")])
+    return draw(st.lists(st.tuples(*[value] * n_objectives),
+                         min_size=size, max_size=size))
+
+
+@settings(max_examples=40)
+@given(populations())
+def test_sort_matches_brute_force_on_random_populations(objs):
+    assert fast_nondominated_sort(objs) == brute_force_ranks(objs)
 
 
 def test_crowding_small_fronts_infinite():
@@ -118,6 +131,8 @@ def table_evaluator(seed, n_genes):
          seed=2, crossover="uniform")
 @example(alphabets=[[], [], [4]], half_population=2, iterations=6, mutation_rate=1.0,
          seed=3, crossover="one_point")
+@example(alphabets=[[1, 2, 3, 5, 7]] * 6, half_population=30, iterations=8,
+         mutation_rate=0.2, seed=4, crossover="uniform")
 def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations,
                                           mutation_rate, seed, crossover):
     # the oracle draws each tournament with `rng.choice` on numpy chromosomes;
@@ -191,9 +206,73 @@ def test_evolve_reports_failing_generation():
             raise ValueError("boom")
         return np.asarray(genes, int), (0.0, 0.0, 0.0)
 
-    cfg = GaConfig(population=4, iterations=50, seed=0)
-    with pytest.raises(EvolveError, match="generation"):
-        evolve(cfg, flaky, [(0, 1)] * 3)
+    # 8^6 chromosomes, so an 11th distinct one is scored after generation 0
+    cfg = GaConfig(population=4, iterations=50, seed=0, mutation_rate=0.5)
+    with pytest.raises(EvolveError, match="generation") as failure:
+        evolve(cfg, flaky, [tuple(range(8))] * 6)
+    assert "generation 0" not in str(failure.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_evolve_rejects_a_non_finite_objective(bad):
+    def evaluator(genes):
+        genes = np.asarray(genes, int)
+        return genes, (float(genes.sum()), bad if genes[0] == 2 else 0.0, 0.0)
+
+    cfg = GaConfig(population=6, iterations=25, seed=9, mutation_rate=0.5)
+    with pytest.raises(EvolveError, match=r"non-finite .* at generation \d+"):
+        evolve(cfg, evaluator, [(0, 1, 2)] * 3)
+
+
+def recording(evaluator, calls):
+    """`evaluator`, appending the genes of every call to `calls`."""
+    def recorded(genes):
+        calls.append(tuple(int(g) for g in genes))
+        return evaluator(genes)
+    return recorded
+
+
+def memo_misses(requests, limit):
+    """The requests that a memo of `limit` chromosomes, dropping the oldest
+    first, passes on to the evaluator."""
+    memo, misses = {}, []
+    for genes in requests:
+        if genes not in memo:
+            misses.append(genes)
+            memo[genes] = None
+            if len(memo) > limit:
+                del memo[next(iter(memo))]
+    return misses
+
+
+def scored_and_requested(coverable, evaluator, cfg):
+    """(chromosomes `evolve` scored, chromosomes the memo-free oracle scored),
+    after checking that both runs give the same archive and trace."""
+    scored, requested = [], []
+    alphabets = coverable["plan"].alphabets()
+    got = evolve(cfg, recording(evaluator, scored), alphabets)
+    want = nsga2_oracle.evolve(cfg, recording(evaluator, requested), alphabets)
+    assert got.archive == want.archive
+    assert got.trace == want.trace
+    return scored, requested
+
+
+def test_evolve_scores_each_distinct_chromosome_once(coverable, coverable_evaluators):
+    cfg = GaConfig(population=8, iterations=30, seed=4, mutation_rate=0.3)
+    for evaluator in coverable_evaluators.values():
+        scored, requested = scored_and_requested(coverable, evaluator, cfg)
+        assert len(scored) < len(requested)
+        assert Counter(scored) == Counter(set(requested))
+        assert scored == memo_misses(requested, nsga2._MEMO_LIMIT)
+
+
+def test_results_survive_memo_eviction(coverable, coverable_evaluators, monkeypatch):
+    monkeypatch.setattr(nsga2, "_MEMO_LIMIT", 4)
+    cfg = GaConfig(population=8, iterations=30, seed=9, mutation_rate=0.3)
+    scored, requested = scored_and_requested(
+        coverable, coverable_evaluators["coherent"], cfg)
+    assert scored == memo_misses(requested, 4)
+    assert len(scored) > len(set(scored))  # evicted chromosomes were scored again
 
 
 def test_config_validation():
