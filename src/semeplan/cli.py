@@ -174,8 +174,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     headers = _headers(scenario.content_hash(), args)
     os.makedirs(args.out, exist_ok=True)
     summary_rows = []
+    memo: dict = {}  # one evaluator, so restarts share its scores
     for ga in gas:
-        result = nsga2.evolve(ga, evaluator, plan.alphabets())
+        result = nsga2.evolve(ga, evaluator, plan.alphabets(), memo)
         suffix = f"_seed{ga.seed}" if args.restarts > 1 else ""
         archive_path = os.path.join(args.out, f"archive{suffix}.csv")
         analysis.write_archive_csv(result.archive, archive_path,

@@ -1,6 +1,7 @@
 """Crash-safe file replacement and the one `#`-header CSV writer."""
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import contextmanager
 from typing import Iterable, Sequence
@@ -23,21 +24,31 @@ def replaced_atomically(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def _write(path, header_lines: Sequence[str], columns: Sequence[str],
+           body: str) -> None:
+    """`# `-prefixed header lines, a column row, then `body`, in one write."""
+    with replaced_atomically(path) as fh:
+        fh.write("".join(f"# {line}\n" for line in header_lines)
+                 + ",".join(columns) + "\n" + body)
+
+
 def write_csv(path, header_lines: Sequence[str], columns: Sequence[str],
               rows: Iterable[Sequence[str]]) -> None:
     """`# `-prefixed header lines, a column row, then one line per row of cells."""
-    with replaced_atomically(path) as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    _write(path, header_lines, columns,
+           "".join([",".join(row) + "\n" for row in rows]))
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_prefixes(grid) -> tuple[str, ...]:
+    """The "x_m,y_m," start of each cell's row of a GridSpec, row-major."""
+    # Python scalars: numpy 2 scalars repr as np.float64(...).
+    return tuple([f"{x!r},{y!r}," for x, y, _ in grid.centers().tolist()])
 
 
 def write_grid_csv(path, header_lines: Sequence[str], grid, column: str,
                    cells: Iterable[str]) -> None:
     """One (x_m, y_m, column) row per cell of a GridSpec, row-major order."""
-    # Python scalars: numpy 2 scalars repr as np.float64(...).
-    write_csv(path, header_lines, ["x_m", "y_m", column],
-              ((repr(x), repr(y), cell)
-               for (x, y, _), cell in zip(grid.centers().tolist(), cells)))
+    _write(path, header_lines, ["x_m", "y_m", column],
+           "".join([f"{prefix}{cell}\n"
+                    for prefix, cell in zip(_cell_prefixes(grid), cells)]))

@@ -62,28 +62,6 @@ def _segments_touch(p1, p2, q1, q2) -> bool:
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
 
 
-def segment_edge_params(origin_xy: np.ndarray, targets_xy: np.ndarray,
-                        edge_a: np.ndarray, edge_b: np.ndarray):
-    """Intersection parameters of origin->target segments with one edge.
-
-    Returns (hit, t): boolean mask over targets and the segment parameter
-    t in (0, 1) at the crossing point.  Endpoint grazes are excluded.
-    """
-    r = targets_xy - origin_xy  # (M, 2)
-    s = edge_b - edge_a
-    den = r[:, 0] * s[1] - r[:, 1] * s[0]
-    qp = edge_a - origin_xy
-    # Rows with |den| <= 1e-15 are masked out below; only such a row can
-    # overflow (numerators stay near 1e10, so it takes |den| < 1e-298).
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (qp[0] * s[1] - qp[1] * s[0]) / den
-        u = (qp[0] * r[:, 1] - qp[1] * r[:, 0]) / den
-    hit = (np.abs(den) > 1e-15) \
-        & (t > _ENDPOINT_TOL) & (t < 1.0 - _ENDPOINT_TOL) \
-        & (u >= -1e-12) & (u <= 1.0 + 1e-12)
-    return hit, t
-
-
 def _distance_to_segment(a, b) -> float:
     """Plan distance from (0, 0) to the segment a-b."""
     sx, sy = b[0] - a[0], b[1] - a[1]
@@ -165,18 +143,20 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
                                  & (reaches >= min_reach))
             if not len(idx):
                 continue
-        xy = targets[idx, :2]
-        dz_idx = dz[idx]
-        blocked = np.zeros(len(xy), dtype=bool)
-        nv = len(polygon)
-        for i in range(nv):
-            a = polygon[i]
-            b = polygon[(i + 1) % nv]
-            hit, t = segment_edge_params(o_xy, xy, a, b)
-            if not hit.any():
-                continue
-            with np.errstate(invalid="ignore"):  # t is inf on edge-parallel rays
-                z_at = o_z + t * dz_idx
-            blocked |= hit & (z_at < height)
-        counts[idx] += blocked
+        # All E edges against the K culled targets in one (K, E) test
+        r = rel[idx]
+        s = np.concatenate([polygon[1:], polygon[:1]]) - polygon  # edge vectors
+        qp = polygon - o_xy
+        den = r[:, :1] * s[:, 1] - r[:, 1:] * s[:, 0]
+        # Pairs with |den| <= 1e-15 are masked out below; only such a pair can
+        # overflow (numerators stay near 1e10, so it takes |den| < 1e-298).
+        # On edge-parallel rays t is inf, and t * dz may be nan.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / den
+            u = (qp[:, 0] * r[:, 1:] - qp[:, 1] * r[:, :1]) / den
+            z_at = o_z + t * dz[idx, None]
+        hit = (np.abs(den) > 1e-15) \
+            & (t > _ENDPOINT_TOL) & (t < 1.0 - _ENDPOINT_TOL) \
+            & (u >= -1e-12) & (u <= 1.0 + 1e-12) & (z_at < height)
+        counts[idx] += hit.any(axis=1)
     return counts

@@ -188,24 +188,28 @@ def _stats(generation, genes_list, objectives, ranks) -> GenerationStats:
 
 
 def evolve(config: GaConfig, evaluator: Callable,
-           alphabets: Sequence[Sequence[int]]) -> EvolveResult:
+           alphabets: Sequence[Sequence[int]],
+           memo: dict | None = None) -> EvolveResult:
     """Run the generational loop and return the final front plus a trace.
 
     `evaluator(genes) -> (repaired genes, objective tuple)` must be pure; it
     receives the chromosome as a tuple of ints, and every objective it
     returns must be finite.  Its results are memoized on the incoming genes
     for the last `_MEMO_LIMIT` distinct chromosomes scored, so a repeated
-    chromosome is not scored again.  `alphabets[n]` lists the feasible gene
-    values at site n (0 is always added).  Each parent is the winner of a
-    binary tournament on (rank, crowding).  The archive is the deduplicated
-    rank-0 set of the last combined parent+offspring population.
+    chromosome is not scored again.  The memo is `memo` when given: calls
+    that pass the same dict with the same evaluator share their scores, and
+    a chromosome scored in one is not scored again in another.
+    `alphabets[n]` lists the feasible gene values at site n (0 is always
+    added).  Each parent is the winner of a binary tournament on (rank,
+    crowding).  The archive is the deduplicated rank-0 set of the last
+    combined parent+offspring population.
     """
     rng = np.random.default_rng(config.seed)
     alphabets = tuple(tuple(sorted({0, *map(int, a)})) for a in alphabets)
     n_genes = len(alphabets)
     size = config.population
     contestants = _contestant_draw(rng, size)
-    memo: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[float, ...]]] = {}
+    memo = {} if memo is None else memo
 
     def evaluate(genes, generation):
         scored = memo.get(genes)

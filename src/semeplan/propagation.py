@@ -106,10 +106,11 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
              points: np.ndarray, walls: np.ndarray, wall_loss_db: float) -> np.ndarray:
     """Complex field components (S, 3, M) at the points, one slab per source.
 
-    Every source sits at `position`, so the path geometry is formed once.
-    `walls` counts the footprints that block the path from `position` to
-    each point.  A source without power leaves its slab zero.  A field
-    that overflows to a non-finite value raises ValueError.
+    Every source sits at `position`, so the path geometry is formed once,
+    and the phase once per distinct pre-travelled path.  `walls` counts
+    the footprints that block the path from `position` to each point.  A
+    source without power leaves its slab zero.  A field that overflows to
+    a non-finite value raises ValueError.
     """
     wavelength = scenario.wavelength
     delta = points - position
@@ -119,6 +120,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
     polarization = _polarization(directions).T
     loss = 10.0 ** (-wall_loss_db * walls / 20.0)
     slabs = np.zeros((len(sources), 3, len(points)), dtype=np.complex128)
+    phases = {extra: np.exp(-2j * np.pi * (dist + extra) / wavelength)
+              for extra in {src.extra_path_m for src in sources}}
     for slab, src in zip(slabs, sources):
         if src.power_w <= 0.0:
             continue
@@ -126,8 +129,7 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
         eirp = src.power_w * 10.0 ** (gain_db / 10.0)
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
-        phase = np.exp(-2j * np.pi * (dist + src.extra_path_m) / wavelength)
-        slab += (amplitude * phase) * polarization
+        slab += (amplitude * phases[src.extra_path_m]) * polarization
     if not np.isfinite(slabs).all():
         raise ValueError("computed field contains non-finite values")
     return slabs

@@ -195,17 +195,17 @@ def _angle_deg(v1, v2) -> float:
 
 
 def ems_site_verdict(scenario: Scenario, site: CandidateSite, roi: Roi,
-                     incident_dbm: np.ndarray, pth_dbm: float) -> str:
+                     inside: bool, incident_dbm: np.ndarray, pth_dbm: float) -> str:
     """First failing passive-skin rule, or "" when the site is feasible.
 
+    `inside` tells whether the site lies in the region's `ems_region`.
     Rule order: region membership, incidence angle, reflection angle,
     incident power.  Pole sites carry no wall, so the angle rules do not
     apply to them.
     """
-    inside = ems_region(scenario, roi, pth_dbm)
-    position = np.asarray(site.position, dtype=float)
-    if not bool(inside(position)):
+    if not inside:
         return "outside_region"
+    position = np.asarray(site.position, dtype=float)
     if site.mount == "facade":
         if site.normal is None:
             raise ValueError("facade site is missing its outward wall normal")
@@ -222,12 +222,11 @@ def ems_site_verdict(scenario: Scenario, site: CandidateSite, roi: Roi,
     return ""
 
 
-def ase_site_verdict(scenario: Scenario, site: CandidateSite, roi: Roi,
-                     kind: SeeType, incident_dbm: np.ndarray,
-                     pth_dbm: float) -> str:
-    """First failing active-device rule, or "" when the site is feasible."""
-    inside = ase_region(scenario, roi, kind, pth_dbm)
-    if not bool(inside(np.asarray(site.position, dtype=float))):
+def ase_site_verdict(kind: SeeType, inside: bool,
+                     incident_dbm: np.ndarray) -> str:
+    """First failing active-device rule, or "" when the site is feasible;
+    `inside` tells whether the site lies in the region's `ase_region`."""
+    if not inside:
         return "outside_region"
     if bool((incident_dbm < kind.sensitivity_dbm).any()):
         return "below_sensitivity"
@@ -294,12 +293,14 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
     """
     active_kinds = [(s, k) for s, k in enumerate(scenario.catalog, start=1)
                     if k.is_active]
-    if scenario.sites:
-        positions = np.asarray([s.position for s in scenario.sites], dtype=float)
-        incident = propagation.point_power_dbm(scenario, positions,
-                                               wall_loss_db=wall_loss_db)
-    else:
-        incident = np.zeros((scenario.time_instants, 0))
+    positions = np.asarray([s.position for s in scenario.sites], float).reshape(-1, 3)
+    incident = propagation.point_power_dbm(scenario, positions,
+                                           wall_loss_db=wall_loss_db)
+    # Region membership of every site at once, per region and per kind
+    ems_inside = {roi.index: ems_region(scenario, roi, pth_dbm)(positions).tolist()
+                  for roi in rois}
+    ase_inside = {(roi.index, s): ase_region(scenario, roi, kind, pth_dbm)(
+        positions).tolist() for roi in rois for s, kind in active_kinds}
 
     rows: list[FeasibilityRow] = []
     ems_ok: dict[tuple[int, int], bool] = {}
@@ -307,15 +308,16 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
     for n, site in enumerate(scenario.sites):
         site_incident = incident[:, n]
         for roi in rois:
-            reason = ems_site_verdict(scenario, site, roi, site_incident, pth_dbm)
+            reason = ems_site_verdict(scenario, site, roi, ems_inside[roi.index][n],
+                                      site_incident, pth_dbm)
             ems_ok[(n, roi.index)] = reason == ""
             rows.append(FeasibilityRow(site=n, roi=roi.index, kind_class="EMS",
                                        feasible=reason == "", reason=reason))
             class_reason = None
             feasible = False
             for s, kind in active_kinds:
-                k_reason = ase_site_verdict(scenario, site, roi, kind,
-                                            site_incident, pth_dbm)
+                k_reason = ase_site_verdict(kind, ase_inside[(roi.index, s)][n],
+                                            site_incident)
                 ase_ok[(n, roi.index, s)] = k_reason == ""
                 if k_reason == "":
                     feasible = True
@@ -327,7 +329,9 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
 
     assignments = []
     for n, site in enumerate(scenario.sites):
-        pos_xy = np.asarray(site.position[:2], dtype=float)
+        pos_xy = positions[n, :2]
+        distance = {r.index: float(np.linalg.norm(pos_xy - np.asarray(r.avg_barycenter)))
+                    for r in rois}
         entries = []
         for s in scenario.admissible_kind_values(n):
             kind = scenario.catalog[s - 1]
@@ -337,9 +341,7 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
                 feasible_rois = [r for r in rois if ase_ok[(n, r.index, s)]]
             if not feasible_rois:
                 continue
-            target = min(feasible_rois, key=lambda r: (
-                float(np.linalg.norm(pos_xy - np.asarray(r.avg_barycenter))),
-                r.index))
+            target = min(feasible_rois, key=lambda r: (distance[r.index], r.index))
             entries.append((s, target.index))
         assignments.append(tuple(entries))
     return tuple(rows), SitePlan(tuple(assignments))
@@ -358,4 +360,4 @@ def write_feasibility_csv(report: Sequence[FeasibilityRow], path,
 def write_region_raster_csv(mask: np.ndarray, grid: GridSpec, path,
                             header_lines: Sequence[str] = ()) -> None:
     write_grid_csv(path, header_lines, grid, "inside",
-                   (str(int(v)) for v in mask.ravel().tolist()))
+                   np.where(mask.ravel(), "1", "0").tolist())

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -361,6 +362,42 @@ def test_restarts_write_per_seed_archives(workspace):
         assert (out / f"trace_seed{seed}.csv").exists()
     rows = read_rows(out / "restarts_summary.csv")
     assert len(rows) == 1 + 3
+
+
+def test_restarts_score_each_distinct_chromosome_once(workspace, tmp_path,
+                                                     monkeypatch):
+    # The restarts share one memo: a chromosome scored by the first restart
+    # is not scored again by the second, and each restart still writes what
+    # a separate run with its seed writes.
+    from semeplan.objectives import Evaluator
+    scored = []
+    score = Evaluator.__call__
+
+    def counting(self, genes):
+        scored.append(tuple(genes))
+        return score(self, genes)
+
+    monkeypatch.setattr(Evaluator, "__call__", counting)
+    scenario, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    ga = ["--pop", "8", "--iters", "30", "--mutation-rate", "0.2"]
+    assert main(["optimize"] + base + ga + ["--seed", "3", "--restarts", "2"]) == 0
+    assert len(scored) == len(set(scored))
+    restarts_scored = len(scored)
+    for seed in (3, 4):
+        alone = tmp_path / f"alone{seed}"
+        alone.mkdir()
+        shutil.copyfile(out / "mapdb.bin", alone / "mapdb.bin")
+        single = ["--scenario", str(scenario), "--out", str(alone),
+                  "--mode", "incoherent"]
+        assert main(["optimize"] + single + ga + ["--seed", str(seed)]) == 0
+        for name in ("archive", "trace"):
+            assert (out / f"{name}_seed{seed}.csv").read_bytes() \
+                == (alone / f"{name}.csv").read_bytes()
+    # the separate runs ask for the same chromosomes, and score some twice
+    separate = scored[restarts_scored:]
+    assert set(separate) == set(scored[:restarts_scored])
+    assert len(separate) > len(set(separate))
 
 
 def test_report_on_handmade_singleton_archive(workspace):

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from occlusion_oracle import brute_force_counts
@@ -136,5 +136,53 @@ def test_culled_counts_equal_brute_force_on_rotated_footprints(fp, angle, lam):
     for origin_xy in (_on_edge(polygon, 0, lam), polygon.mean(axis=0),
                       polygon[0] + 3.0 * (polygon[0] - polygon.mean(axis=0))):
         origin = np.append(origin_xy, 5.0)
+        np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
+                                      brute_force_counts(origin, targets, fps))
+
+
+@st.composite
+def star_polygons(draw):
+    """5 to 9 integer vertices around a centre, convex or, with a smaller
+    inner radius on every other vertex, concave."""
+    n = draw(st.integers(5, 9))
+    cx, cy = draw(coord), draw(coord)
+    outer = draw(st.integers(6, 20))
+    inner = draw(st.integers(3, outer))
+    turn = draw(st.floats(0.0, 1.0))
+    angles = 2.0 * np.pi * (np.arange(n) + turn) / n
+    radii = np.where(np.arange(n) % 2, inner, outer)
+    polygon = np.round(np.column_stack([cx + radii * np.cos(angles),
+                                        cy + radii * np.sin(angles)]))
+    assume(polygon_is_simple(polygon))
+    if draw(st.booleans()):
+        polygon = polygon[::-1]  # clockwise
+    return polygon, float(draw(st.integers(2, 40)))
+
+
+@given(star_polygons(), footprints(), st.integers(0, 8),
+       st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]), st.integers(1, 45),
+       st.lists(st.integers(0, 45), min_size=8, max_size=8))
+def test_culled_counts_equal_brute_force_on_many_sided_footprints(
+        star, other, i, lam, origin_z, heights):
+    # The origin sits on the line through edge i of the star, at a vertex or
+    # outside the edge.  Targets on that line, and targets offset from any
+    # origin along an edge, make rays parallel to that edge (den = 0, where
+    # t is inf).  All coordinates are integers, so den is exactly 0.
+    polygon = star[0]
+    a = polygon[i % len(polygon)]
+    b = polygon[(i + 1) % len(polygon)]
+    fps = [star, other]
+    ring = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    for origin_xy in (a + lam * (b - a), polygon.mean(axis=0).round(),
+                      np.array([-30.0, 7.0])):
+        xy = [30.0 * np.column_stack([np.cos(ring), np.sin(ring)]), polygon]
+        xy += [a + mu * (b - a) for mu in (-3.0, -1.0, 0.0, 1.0, 2.0, 4.0)]
+        for poly, _ in fps:
+            edges = np.concatenate([poly[1:], poly[:1]]) - poly
+            xy += [origin_xy + k * edges for k in (-2.0, 1.0, 3.0)]
+        xy = np.vstack(xy)
+        z = np.resize(np.array(heights, float), len(xy))
+        targets = np.column_stack([xy, z])
+        origin = np.append(origin_xy, float(origin_z))
         np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
                                       brute_force_counts(origin, targets, fps))

@@ -435,6 +435,33 @@ def test_build_radiates_each_entry_site_once(monkeypatch):
         for n in sites]
 
 
+def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):
+    # A site radiates all its (kind, instant) sources in one call, with one
+    # phase per distinct pre-travelled path: none for IAB, the backhaul
+    # length for the others.  Each slab equals its source radiated alone.
+    sc = scenario_from_dict(demo_scenario())
+    assert sc.time_instants == 2
+    calls, radiate = [], propagation._radiate
+
+    def capturing(*args):
+        calls.append((args, radiate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(propagation, "_radiate", capturing)
+    n = next(n for n in range(len(sc.sites))
+             if {sc.catalog[s - 1].kind for s in sc.admissible_kind_values(n)}
+             >= {"SP-EMS", "RP-EMS", "IAB"})
+    build_database(sc, reference_field(sc),
+                   {key: v for key, v in _every_kind_everywhere(sc).items()
+                    if key[0] == n})
+    (scenario, position, sources, points, walls, wall_loss_db), slabs = calls[-1]
+    assert len({src.extra_path_m for src in sources}) == 2
+    assert len(sources) == 2 * len(sc.admissible_kind_values(n))
+    for src, slab in zip(sources, slabs):
+        alone = radiate(scenario, position, [src], points, walls, wall_loss_db)
+        assert alone[0].tobytes() == slab.tobytes()
+
+
 def test_build_database_rejects_a_foreign_reference():
     sc = open_field(nx=6, ny=6)
     with pytest.raises(ValueError, match="reference field"):

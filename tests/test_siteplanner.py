@@ -35,6 +35,20 @@ def _roi(x, y, index=1):
                avg_barycenter=(x, y), cell_area=25.0)
 
 
+def ems_rules(sc, site, roi, incident_dbm, pth_dbm):
+    """The passive-skin rules for one (site, region) pair, membership
+    tested on the site alone."""
+    inside = bool(ems_region(sc, roi, pth_dbm)(np.asarray(site.position, float)))
+    return ems_site_verdict(sc, site, roi, inside, incident_dbm, pth_dbm)
+
+
+def ase_rules(sc, site, roi, kind, incident_dbm, pth_dbm):
+    """The active-device rules for one (site, region, kind) triple,
+    membership tested on the site alone."""
+    inside = bool(ase_region(sc, roi, kind, pth_dbm)(np.asarray(site.position, float)))
+    return ase_site_verdict(kind, inside, incident_dbm)
+
+
 def test_range_formula_matches_db_domain_oracle():
     sc = paper_bts_scenario()
     got = max_single_hop_range(sc, pth_dbm=-65.0)
@@ -156,24 +170,24 @@ def test_ems_verdict_rule_order():
     strong = np.array([-40.0])
     weak = np.array([-80.0])
 
-    assert ems_site_verdict(sc, site_ok, roi_front, strong, -65.0) == ""
+    assert ems_rules(sc, site_ok, roi_front, strong, -65.0) == ""
     # barycenter behind the wall: reflection angle fails
-    assert ems_site_verdict(sc, site_ok, roi_behind, strong, -65.0) \
+    assert ems_rules(sc, site_ok, roi_behind, strong, -65.0) \
         == "unfeasible_reflection_angle"
     # angles checked before power: reflection angle wins over weak power
-    assert ems_site_verdict(sc, site_ok, roi_behind, weak, -65.0) \
+    assert ems_rules(sc, site_ok, roi_behind, weak, -65.0) \
         == "unfeasible_reflection_angle"
-    assert ems_site_verdict(sc, site_ok, roi_front, weak, -65.0) \
+    assert ems_rules(sc, site_ok, roi_front, weak, -65.0) \
         == "low_incidence_power"
 
     away = type(site_ok)(position=site_ok.position, mount="facade",
                          normal=(1.0, 0.0, 0.0),
                          admissible_kinds=site_ok.admissible_kinds)
-    assert ems_site_verdict(sc, away, roi_behind, strong, -65.0) \
+    assert ems_rules(sc, away, roi_behind, strong, -65.0) \
         == "unfeasible_incident_angle"
 
     far_roi = _roi(1e7, 50.0)
-    assert ems_site_verdict(sc, site_ok, far_roi, strong, -65.0) \
+    assert ems_rules(sc, site_ok, far_roi, strong, -65.0) \
         == "outside_region"
 
 
@@ -191,8 +205,7 @@ def test_bts_along_normal_passes_angle():
         "sites": [{"position": [50.0, 50.0, 18.0], "mount": "facade",
                    "normal": [-1.0, 0.0, 0.0]}]}).sites[0]
     # BTS sits exactly along the outward normal: incident angle 0
-    verdict = ems_site_verdict(sc, site, _roi(30.0, 50.0),
-                               np.array([-30.0]), -65.0)
+    verdict = ems_rules(sc, site, _roi(30.0, 50.0), np.array([-30.0]), -65.0)
     assert verdict == ""
 
 
@@ -210,9 +223,9 @@ def test_ase_verdict_below_sensitivity():
         "buildings": [], "catalog": [],
         "sites": [{"position": [50.0, 50.0, 6.0], "mount": "pole"}]}).sites[0]
     roi = _roi(70.0, 50.0)
-    assert ase_site_verdict(sc, site, roi, kind, np.array([-30.0]), -65.0) == ""
-    assert ase_site_verdict(sc, site, roi, kind, np.array([-30.0, -70.0]),
-                            -65.0) == "below_sensitivity"
+    assert ase_rules(sc, site, roi, kind, np.array([-30.0]), -65.0) == ""
+    assert ase_rules(sc, site, roi, kind, np.array([-30.0, -70.0]),
+                     -65.0) == "below_sensitivity"
 
 
 def test_qualify_sites_empty_and_counting(coverable):
@@ -229,20 +242,45 @@ def test_qualify_sites_empty_and_counting(coverable):
         assert (row.reason == "") == row.feasible
 
 
-def test_report_reasons_recompute(coverable):
-    # every excluded verdict names a rule that indeed fails when recomputed
-    from semeplan.propagation import point_power_dbm
-    c = coverable
-    sc = c["scenario"]
-    rois = {r.index: r for r in c["rois"]}
-    positions = np.array([s.position for s in sc.sites])
-    incident = point_power_dbm(sc, positions)
-    for row in c["report"]:
-        if row.feasible or row.kind_class != "EMS":
-            continue
-        verdict = ems_site_verdict(sc, sc.sites[row.site], rois[row.roi],
-                                   incident[:, row.site], -65.0)
-        assert verdict == row.reason
+def test_report_reasons_recompute():
+    # Every verdict, feasible or not, equals the rules applied to its triple
+    # alone, region membership tested on the one site.  The coverable toy
+    # gets a lattice of poles and facades facing three ways, and two far
+    # regions, so that every reason occurs.
+    from semeplan.analysis import reference_blindspot
+    from semeplan.propagation import point_power_dbm, reference_field
+    from semeplan.synthetic import coverable_toy
+    doc = coverable_toy()
+    for x in np.linspace(2.0, 113.0, 7).tolist():
+        for y in np.linspace(2.0, 113.0, 7).tolist():
+            doc["sites"].append({"position": [x, y, 6.0], "mount": "pole"})
+            doc["sites"] += [{"position": [x, y, 6.0], "mount": "facade",
+                              "normal": normal}
+                             for normal in ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0])]
+    sc = scenario_from_dict(doc)
+    _, blindspot = reference_blindspot(reference_field(sc), sc.wavelength, -65.0)
+    far = [Roi(index=w, cells=((), ()), barycenters=(None, None),
+               avg_barycenter=(x, 60.0), cell_area=25.0)
+           for w, x in ((3, 3000.0), (4, -20000.0))]
+    rois = build_rois(blindspot.components, sc.grid) + tuple(far)
+    assert [r.index for r in rois] == [1, 2, 3, 4]
+    report, _ = qualify_sites(sc, rois, -65.0)
+    active = [k for k in sc.catalog if k.is_active]
+    incident = point_power_dbm(sc, np.array([s.position for s in sc.sites]))
+    for row in report:
+        site, roi = sc.sites[row.site], rois[row.roi - 1]
+        if row.kind_class == "EMS":
+            reason = ems_rules(sc, site, roi, incident[:, row.site], -65.0)
+        else:
+            reasons = [ase_rules(sc, site, roi, kind, incident[:, row.site], -65.0)
+                       for kind in active]
+            reason = "" if "" in reasons else reasons[0]
+        assert (row.feasible, row.reason) == (reason == "", reason)
+    assert {(row.kind_class, row.reason) for row in report} == {
+        ("EMS", ""), ("EMS", "outside_region"), ("EMS", "unfeasible_incident_angle"),
+        ("EMS", "unfeasible_reflection_angle"), ("EMS", "low_incidence_power"),
+        ("ASE", ""), ("ASE", "outside_region"), ("ASE", "below_sensitivity")}
 
 
 def test_region_grows_with_tx_power():
