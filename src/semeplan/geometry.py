@@ -15,50 +15,47 @@ import numpy as np
 _ENDPOINT_TOL = 1e-9
 
 
-def _cross2(ax, ay, bx, by):
-    return ax * by - ay * bx
-
-
 def polygon_is_simple(vertices: np.ndarray) -> bool:
     """True if the closed polygon has no self-intersections.
 
     Adjacent edges sharing a vertex are allowed; any other contact
-    (crossing or touching) makes the polygon non-simple.
+    (crossing or touching) makes the polygon non-simple.  An edge whose
+    ends are equal within `np.allclose`'s default tolerances is degenerate
+    and makes the polygon non-simple too.
     """
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
+    pts = np.asarray(vertices, dtype=float).tolist()
+    n = len(pts)
     if n < 3:
         return False
-    edges = [(v[i], v[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        a1, a2 = edges[i]
-        if np.allclose(a1, a2):
+    edges = []
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        if (abs(x1 - x2) <= 1e-8 + 1e-5 * abs(x2)
+                and abs(y1 - y2) <= 1e-8 + 1e-5 * abs(y2)):
             return False  # degenerate edge
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if adjacent:
-                continue
-            b1, b2 = edges[j]
-            if _segments_touch(a1, a2, b1, b2):
+        edges.append((x1, y1, x2, y2))
+    for i in range(n):
+        # edge i + 1 and, for edge 0, edge n - 1 are adjacent
+        for j in range(i + 2, n - (i == 0)):
+            if _segments_touch(*edges[i], *edges[j]):
                 return False
     return True
 
 
-def _segments_touch(p1, p2, q1, q2) -> bool:
-    r = p2 - p1
-    s = q2 - q1
-    den = _cross2(r[0], r[1], s[0], s[1])
-    qp = q1 - p1
+def _segments_touch(px1, py1, px2, py2, qx1, qy1, qx2, qy2) -> bool:
+    rx, ry = px2 - px1, py2 - py1
+    sx, sy = qx2 - qx1, qy2 - qy1
+    den = rx * sy - ry * sx
+    wx, wy = qx1 - px1, qy1 - py1
     if abs(den) < 1e-15:
         # Parallel: overlap only if collinear and the 1D projections meet.
-        if abs(_cross2(qp[0], qp[1], r[0], r[1])) > 1e-12:
+        if abs(wx * ry - wy * rx) > 1e-12:
             return False
-        t0 = np.dot(qp, r) / np.dot(r, r)
-        t1 = np.dot(q2 - p1, r) / np.dot(r, r)
-        lo, hi = min(t0, t1), max(t0, t1)
-        return hi >= 0.0 and lo <= 1.0
-    t = _cross2(qp[0], qp[1], s[0], s[1]) / den
-    u = _cross2(qp[0], qp[1], r[0], r[1]) / den
+        rr = rx * rx + ry * ry
+        t0 = (wx * rx + wy * ry) / rr
+        t1 = ((qx2 - px1) * rx + (qy2 - py1) * ry) / rr
+        return max(t0, t1) >= 0.0 and min(t0, t1) <= 1.0
+    t = (wx * sy - wy * sx) / den
+    u = (wx * ry - wy * rx) / den
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
 
 

@@ -24,6 +24,8 @@ CROSSOVER_RATE = 0.9  # chance that a parent pair is crossed, not copied
 # 65,536 (about 50 MB) only 32 %.
 _MEMO_LIMIT = 1 << 12
 
+_BLOCK = 1024  # random words `_Stream` reads from the bit generator at once
+
 
 class EvolveError(RuntimeError):
     pass
@@ -52,7 +54,8 @@ class GaConfig:
             raise ValueError(f"unknown crossover operator {self.crossover!r}")
 
 
-def fast_nondominated_sort(objectives: Sequence[Sequence[float]]) -> list[int]:
+def fast_nondominated_sort(objectives: Sequence[Sequence[float]],
+                           keep: int | None = None) -> list[int]:
     """Front index per individual (0 = non-dominated), Deb's O(MN^2) scheme.
 
     `no_worse[p, q]`, p is no worse than q in every objective, is built from
@@ -60,6 +63,10 @@ def fast_nondominated_sort(objectives: Sequence[Sequence[float]]) -> list[int]:
     when p is no worse than q and q is not no worse than p; this holds with
     NaN too, which compares false both ways.  Front peeling then follows the
     usual domination-count bookkeeping.
+
+    With `keep`, peeling stops at the first front that brings the members
+    placed to `keep` or more, and every member left gets the next index:
+    survivor selection of `keep` members never reaches them.
     """
     n = len(objectives)
     if n == 0:
@@ -72,14 +79,18 @@ def fast_nondominated_sort(objectives: Sequence[Sequence[float]]) -> list[int]:
     counts = dom.sum(axis=0)
     ranks = np.empty(n, dtype=int)
     current = np.flatnonzero(counts == 0)
-    front = 0
+    front = placed = 0
     while current.size:
         ranks[current] = front
+        front += 1
+        placed += current.size
+        if keep is not None and placed >= keep:
+            ranks[counts > 0] = front
+            break
         # nothing in this front or a later one dominates these, so -1 stays
         counts[current] = -1
         counts -= dom[current].sum(axis=0)
         current = np.flatnonzero(counts == 0)
-        front += 1
     return ranks.tolist()
 
 
@@ -142,31 +153,93 @@ class EvolveResult:
     trace: list[GenerationStats] = field(default_factory=list)
 
 
-def _contestant_draw(rng, size: int) -> Callable[[], tuple[int, int, int, int]]:
-    """The contestants of both binary tournaments of a parent pair, per call.
+class _Stream:
+    """The draws of `np.random.default_rng(seed)`, made from the same words.
 
-    One `rng.integers` call draws what two `rng.choice(size, 2,
-    replace=False)` calls would: Floyd's algorithm draws a in [0, size-2],
-    then b in [0, size-1] (b == a picks size-1), then a one-step shuffle
-    draws once more.  A winner does not depend on the order of its two
-    contestants, so the shuffle draw is ignored.
+    The PCG64 words are read `_BLOCK` at a time with one `random_raw` call
+    and kept as lists: each word's double `(w >> 11) * 2**-53` and its low
+    and high 32-bit halves.  A double takes a whole word.  `below(k)` is
+    numpy's bounded 32-bit draw (Lemire 2019): it takes the low half of a
+    new word and keeps the high half for the next 32-bit draw, which a
+    double never takes.  So `random()`, `randoms(n)` and `below(k)` return
+    what a Generator of the same seed returns from `random()`, `random(n)`
+    and `integers(k)`, in the same order.
     """
-    highs = np.array([size - 1, size, 2] * 2)
+    __slots__ = ("_raw", "_doubles", "_lows", "_highs", "_next", "_kept")
 
-    def draw():
-        a1, b1, _, a2, b2, _ = rng.integers(0, highs).tolist()
-        return a1, (b1 if b1 != a1 else size - 1), a2, (b2 if b2 != a2 else size - 1)
-    return draw
+    def __init__(self, seed: int):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._doubles = self._lows = self._highs = []
+        self._next = _BLOCK  # index of the next unread word
+        self._kept = None  # high half left by the last 32-bit draw
+
+    def _refill(self):
+        words = self._raw(_BLOCK)
+        self._doubles = ((words >> 11) * 2.0 ** -53).tolist()
+        self._lows = (words & 0xFFFFFFFF).tolist()
+        self._highs = (words >> 32).tolist()
+        self._next = 0
+
+    def random(self) -> float:
+        if self._next == _BLOCK:
+            self._refill()
+        self._next += 1
+        return self._doubles[self._next - 1]
+
+    def randoms(self, n: int) -> list[float]:
+        start = self._next
+        if start + n <= _BLOCK:
+            self._next = start + n
+            return self._doubles[start:start + n]
+        head = self._doubles[start:]
+        self._refill()
+        return head + self.randoms(n - len(head))
+
+    def below(self, k: int) -> int:
+        """Uniform in [0, k) for 1 <= k <= 2**32; `below(1)` draws nothing."""
+        if k == 1:
+            return 0
+        while True:
+            half = self._kept
+            if half is None:
+                if self._next == _BLOCK:
+                    self._refill()
+                i = self._next
+                self._next = i + 1
+                self._kept = self._highs[i]
+                half = self._lows[i]
+            else:
+                self._kept = None
+            scaled = half * k
+            low = scaled & 0xFFFFFFFF
+            # reject the low ends that would make some results likelier
+            if low >= k or low >= (0x100000000 - k) % k:
+                return scaled >> 32
+
+
+def _contestant_draw(stream: _Stream, size: int) -> tuple[int, int, int, int]:
+    """The contestants of both binary tournaments of a parent pair.
+
+    Each tournament draws what `rng.choice(size, 2, replace=False)` draws:
+    Floyd's algorithm draws a in [0, size-2], then b in [0, size-1] (b == a
+    picks size-1), then a one-step shuffle draws once more.  A winner does
+    not depend on the order of its two contestants, so the shuffle draw is
+    ignored.
+    """
+    below = stream.below
+    a1, b1, _ = below(size - 1), below(size), below(2)
+    a2, b2, _ = below(size - 1), below(size), below(2)
+    return a1, (b1 if b1 != a1 else size - 1), a2, (b2 if b2 != a2 else size - 1)
 
 
 def _rank_and_crowd(objectives, keep):
     """Front index and crowding of each member.
 
-    Crowding is computed only for the fronts that hold the best `keep`
-    members and left at 0.0 beyond them: survivor selection never reaches a
-    later front, so its crowding could not change a choice.
+    Fronts are peeled and crowding computed only as far as the best `keep`
+    members; crowding is left at 0.0 beyond them.  Survivor selection never
+    reaches a later front, so neither could change a choice.
     """
-    ranks = fast_nondominated_sort(objectives)
+    ranks = fast_nondominated_sort(objectives, keep)
     crowding = [0.0] * len(objectives)
     fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for i, r in enumerate(ranks):
@@ -204,11 +277,11 @@ def evolve(config: GaConfig, evaluator: Callable,
     crowding).  The archive is the deduplicated rank-0 set of the last
     combined parent+offspring population.
     """
-    rng = np.random.default_rng(config.seed)
+    stream = _Stream(config.seed)
+    random, randoms, below = stream.random, stream.randoms, stream.below
     alphabets = tuple(tuple(sorted({0, *map(int, a)})) for a in alphabets)
     n_genes = len(alphabets)
     size = config.population
-    contestants = _contestant_draw(rng, size)
     memo = {} if memo is None else memo
 
     def evaluate(genes, generation):
@@ -233,24 +306,24 @@ def evolve(config: GaConfig, evaluator: Callable,
         return a if (ranks[a], -crowding[a], a) < (ranks[b], -crowding[b], b) else b
 
     def mutate(genes):
-        for n, u in enumerate(rng.random(n_genes).tolist()):
+        for n, u in enumerate(randoms(n_genes)):
             if u < config.mutation_rate:
-                genes[n] = alphabets[n][rng.integers(len(alphabets[n]))]
+                genes[n] = alphabets[n][below(len(alphabets[n]))]
         return tuple(genes)
 
     def cross(a, b):
         a, b = list(a), list(b)
         if n_genes >= 2:
             if config.crossover == "uniform":
-                for n, u in enumerate(rng.random(n_genes).tolist()):
+                for n, u in enumerate(randoms(n_genes)):
                     if u < 0.5:
                         a[n], b[n] = b[n], a[n]
             else:
-                point = int(rng.integers(1, n_genes))
+                point = 1 + below(n_genes - 1)
                 a[:point], b[:point] = b[:point], a[:point]
         return a, b
 
-    pop_genes = [tuple(alpha[rng.integers(len(alpha))] for alpha in alphabets)
+    pop_genes = [tuple(alpha[below(len(alpha))] for alpha in alphabets)
                  for _ in range(size)]
     pop_genes[0] = (0,) * n_genes  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
@@ -261,10 +334,10 @@ def evolve(config: GaConfig, evaluator: Callable,
     for generation in range(1, config.iterations + 1):
         offspring = []
         for _ in range(size // 2):
-            a1, b1, a2, b2 = contestants()
+            a1, b1, a2, b2 = _contestant_draw(stream, size)
             pa = pop[winner(a1, b1)][0]
             pb = pop[winner(a2, b2)][0]
-            if rng.random() < CROSSOVER_RATE:
+            if random() < CROSSOVER_RATE:
                 ca, cb = cross(pa, pb)
             else:
                 ca, cb = list(pa), list(pb)

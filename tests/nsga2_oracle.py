@@ -2,14 +2,16 @@
 with one `rng.choice` per tournament and numpy arrays for chromosomes.
 
 `nsga2.evolve` makes the same draws in the same order more cheaply, and must
-give the same archive and trace for every configuration and seed.
+give the same archive and trace for every configuration and seed.  The
+ranking and the archive here are built on the pairwise `dominates` alone,
+so none of `nsga2`'s selection code checks itself.
 """
 from typing import Callable, Sequence
 
 import numpy as np
 
-from semeplan.nsga2 import (CROSSOVER_RATE, EvolveError, EvolveResult, GaConfig,
-                            GenerationStats, fast_nondominated_sort, pareto_archive)
+from semeplan.nsga2 import (CROSSOVER_RATE, ArchiveEntry, EvolveError, EvolveResult,
+                            GaConfig, GenerationStats)
 
 TOURNAMENT_SIZE = 2
 
@@ -19,6 +21,36 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     not_worse = all(x <= y for x, y in zip(a, b))
     strictly = any(x < y for x, y in zip(a, b))
     return not_worse and strictly
+
+
+def nondominated_ranks(objectives: Sequence[Sequence[float]]) -> list[int]:
+    """Front index per individual by iterative peeling with pairwise checks."""
+    n = len(objectives)
+    dominated_by = [[q for q in range(n) if dominates(objectives[q], objectives[p])]
+                    for p in range(n)]
+    remaining = set(range(n))
+    ranks = [None] * n
+    level = 0
+    while remaining:
+        front = {p for p in remaining
+                 if not any(q in remaining for q in dominated_by[p])}
+        for p in front:
+            ranks[p] = level
+        remaining -= front
+        level += 1
+    return ranks
+
+
+def pareto_archive(genes_list, objectives) -> tuple[ArchiveEntry, ...]:
+    """Rank-0 members, the first of each chromosome, by (objectives, genes)."""
+    ranks = nondominated_ranks(objectives)
+    first: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for genes, objs, rank in zip(genes_list, objectives, ranks):
+        if rank == 0:
+            first.setdefault(tuple(int(g) for g in genes),
+                             tuple(float(v) for v in objs))
+    entries = [ArchiveEntry(genes=g, objectives=o) for g, o in first.items()]
+    return tuple(sorted(entries, key=lambda e: (e.objectives, e.genes)))
 
 
 def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
@@ -52,7 +84,7 @@ def _tournament(rng, ranks, crowding):
 
 
 def _rank_and_crowd(objectives):
-    ranks = fast_nondominated_sort(objectives)
+    ranks = nondominated_ranks(objectives)
     crowding = [0.0] * len(objectives)
     by_front: dict[int, list[int]] = {}
     for i, r in enumerate(ranks):

@@ -1,7 +1,8 @@
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import polygon_oracle
 from occlusion_oracle import brute_force_counts
 from semeplan.geometry import count_blocking_footprints, polygon_is_simple
 
@@ -21,6 +22,36 @@ def test_degenerate_polygons_rejected():
     assert not polygon_is_simple(np.array([[0.0, 0.0], [1.0, 1.0]]))
     repeated = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert not polygon_is_simple(repeated)
+
+
+@st.composite
+def grid_polygons(draw):
+    """3 to 7 vertices on a 5 x 5 grid, so that repeated vertices (degenerate
+    edges), collinear overlaps and vertices touching edges are common.  The
+    grid is shifted and scaled by a power of two, which keeps every product
+    exact, to bring the step near the tolerances of the edge test."""
+    n = draw(st.integers(3, 7))
+    grid = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pts = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float)
+    shift = draw(st.sampled_from([0.0, 1024.0, 100000.0]))
+    scale = draw(st.sampled_from([1.0, 2.0 ** -4, 2.0 ** -24, 2.0 ** -27, 2.0 ** 16]))
+    return (pts + shift) * scale
+
+
+@settings(max_examples=300)
+@given(grid_polygons())
+@example(SQUARE)
+@example(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [1.0, 2.0], [1.0, 4.0],
+                   [0.0, 4.0]]))  # simple, concave
+@example(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 2.0]]))  # repeated vertex
+@example(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-9], [0.0, 1.0]]))  # edge below atol
+@example(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0], [2.0, 0.0],
+                   [1.0, 0.0], [1.0, 3.0], [0.0, 3.0]]))  # collinear overlap
+@example(np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [2.0, 0.0]]))  # vertex on an edge
+@example(np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0], [4.0, 4.0], [2.0, 2.0],
+                   [0.0, 4.0]]))  # two vertices touch
+def test_polygon_check_matches_the_numpy_oracle(polygon):
+    assert polygon_is_simple(polygon) == polygon_oracle.polygon_is_simple(polygon)
 
 
 def test_segment_through_building_blocks():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -5,29 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nsga2_oracle
-from nsga2_oracle import dominates
+from nsga2_oracle import dominates, nondominated_ranks
 from semeplan import nsga2
-from semeplan.nsga2 import (EvolveError, GaConfig, _contestant_draw,
-                            crowding_distance, evolve, fast_nondominated_sort,
-                            hypervolume, pareto_archive)
-
-
-def brute_force_ranks(objectives):
-    """Iterative peeling with pairwise domination checks."""
-    n = len(objectives)
-    dominated_by = [[q for q in range(n) if dominates(objectives[q], objectives[p])]
-                    for p in range(n)]
-    remaining = set(range(n))
-    ranks = [None] * n
-    level = 0
-    while remaining:
-        front = {p for p in remaining
-                 if not any(q in remaining for q in dominated_by[p])}
-        for p in front:
-            ranks[p] = level
-        remaining -= front
-        level += 1
-    return ranks
+from semeplan.nsga2 import (_BLOCK, EvolveError, GaConfig, _contestant_draw,
+                            _Stream, crowding_distance, evolve,
+                            fast_nondominated_sort, hypervolume, pareto_archive)
 
 
 def test_dominates_basics():
@@ -59,7 +42,30 @@ def populations(draw):
 @settings(max_examples=40)
 @given(populations())
 def test_sort_matches_brute_force_on_random_populations(objs):
-    assert fast_nondominated_sort(objs) == brute_force_ranks(objs)
+    assert fast_nondominated_sort(objs) == nondominated_ranks(objs)
+
+
+def test_sort_with_keep_on_a_chain():
+    chain = [(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+    assert fast_nondominated_sort(chain, 1) == [0, 0, 1, 1, 1]
+    assert fast_nondominated_sort(chain, 3) == [0, 0, 1, 2, 2]
+    assert fast_nondominated_sort(chain, 4) == [0, 0, 1, 2, 3]
+    assert fast_nondominated_sort(chain, 9) == [0, 0, 1, 2, 3]
+
+
+@settings(max_examples=40)
+@given(populations(), st.data())
+def test_sort_with_keep_peels_only_the_fronts_that_reach_keep(objs, data):
+    keep = data.draw(st.integers(1, len(objs) + 1))
+    full = nondominated_ranks(objs)
+    if not objs:
+        assert fast_nondominated_sort(objs, keep) == []
+        return
+    # the fronts up to the first that places `keep` members keep their index
+    last = next((f for f in range(max(full) + 1)
+                 if sum(r <= f for r in full) >= keep), max(full))
+    assert fast_nondominated_sort(objs, keep) \
+        == [r if r <= last else last + 1 for r in full]
 
 
 def test_crowding_small_fronts_infinite():
@@ -133,6 +139,18 @@ def table_evaluator(seed, n_genes):
          seed=3, crossover="one_point")
 @example(alphabets=[[1, 2, 3, 5, 7]] * 6, half_population=30, iterations=8,
          mutation_rate=0.2, seed=4, crossover="uniform")
+# front 0 alone holds the population in every generation: 9 chromosomes
+@example(alphabets=[[1, 2]] * 2, half_population=4, iterations=8, mutation_rate=0.1,
+         seed=6, crossover="uniform")
+# every generation needs three or more fronts to place the survivors
+@example(alphabets=[[1, 2, 3, 4, 5, 6, 7]] * 5, half_population=8, iterations=8,
+         mutation_rate=0.5, seed=43, crossover="uniform")
+# one-point crossover of two genes has a single cut point: no draw
+@example(alphabets=[[1, 2], [3]], half_population=2, iterations=6, mutation_rate=0.3,
+         seed=10, crossover="one_point")
+# single-value alphabets: initial genes and mutations draw nothing
+@example(alphabets=[[], []], half_population=2, iterations=4, mutation_rate=1.0,
+         seed=11, crossover="uniform")
 def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations,
                                           mutation_rate, seed, crossover):
     # the oracle draws each tournament with `rng.choice` on numpy chromosomes;
@@ -146,13 +164,58 @@ def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations
     assert got.trace == want.trace
 
 
+# bounds where numpy's bounded draw rejects often: up to 30 % of words
+LARGE_BOUNDS = [3_000_000_000, 3_500_000_001, 2 ** 32 - 3, 2 ** 32 - 1, 2 ** 32]
+
+
+def random_bound(plan):
+    return plan.choice([1, plan.randint(2, 12), plan.randint(13, 5000),
+                        plan.choice(LARGE_BOUNDS)])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_stream_reproduces_the_generator(seed):
+    # a seeded mix of every kind of draw `evolve` makes, against a Generator
+    plan = random.Random(seed)
+    ours, theirs = _Stream(seed), np.random.default_rng(seed)
+    refills_crossed = 0
+    for _ in range(1500):
+        kind = plan.randrange(5)
+        if kind == 0:
+            assert ours.random() == theirs.random()
+        elif kind == 1:
+            n = plan.randint(0, 40)
+            assert ours.randoms(n) == theirs.random(n).tolist()
+            refills_crossed += ours._next < n
+        elif kind == 2:
+            k = random_bound(plan)
+            assert ours.below(k) == theirs.integers(k)
+        elif kind == 3:
+            n = plan.randint(2, 9)
+            assert 1 + ours.below(n - 1) == theirs.integers(1, n)
+        else:
+            highs = [random_bound(plan) for _ in range(plan.randint(1, 8))]
+            assert [ours.below(k) for k in highs] \
+                == theirs.integers(0, np.array(highs)).tolist()
+    assert refills_crossed > 0  # runs that cross a block refill
+    assert ours.random() == theirs.random()
+
+
+def test_stream_rejects_and_keeps_halves_as_numpy_does():
+    # long runs at one bound each: rejection at large bounds, no draw at 1
+    for k in [1, 2, 3, 7, 2 ** 31 + 1] + LARGE_BOUNDS:
+        ours, theirs = _Stream(k % 97), np.random.default_rng(k % 97)
+        got = [ours.below(k) for _ in range(3 * _BLOCK)]
+        assert got == theirs.integers(k, size=3 * _BLOCK).tolist()
+        assert ours.randoms(5) == theirs.random(5).tolist()
+
+
 @pytest.mark.parametrize("size", [4, 7, 10, 20, 120])
 def test_contestant_draw_reproduces_two_choice_calls(size):
     for seed in range(40):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = _contestant_draw(ours, size)
+        ours, theirs = _Stream(seed), np.random.default_rng(seed)
         for k in range(25):
-            a1, b1, a2, b2 = draw()
+            a1, b1, a2, b2 = _contestant_draw(ours, size)
             first = theirs.choice(size, 2, replace=False).tolist()
             second = theirs.choice(size, 2, replace=False).tolist()
             assert {a1, b1} == set(first) and {a2, b2} == set(second)
@@ -160,9 +223,9 @@ def test_contestant_draw_reproduces_two_choice_calls(size):
             if k % 3 == 0:
                 assert ours.random() == theirs.random()
             if k % 4 == 1:
-                assert ours.integers(7) == theirs.integers(7)
+                assert ours.below(7) == theirs.integers(7)
             if k % 5 == 2:
-                assert ours.random(3).tolist() == theirs.random(3).tolist()
+                assert ours.randoms(3) == theirs.random(3).tolist()
         assert ours.random() == theirs.random()
 
 
