@@ -3,6 +3,7 @@ difference-map statistics, and the CSV tables built from them."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -247,24 +248,35 @@ def write_cdf_csv(thresholds: np.ndarray, probabilities: np.ndarray, path,
     write_csv(path, header_lines, ["power_dbm", "cdf"], rows)
 
 
+_ARCHIVE_COLUMNS = ["coverage_deficit", "cost_fraction", "energy_fraction", "genes"]
+
+
 def write_archive_csv(archive: Sequence[ArchiveEntry], path,
                       header_lines: Sequence[str] = ()) -> None:
-    columns = ["coverage_deficit", "cost_fraction", "energy_fraction", "genes"]
     rows = [[_fmt(e.objectives[0]), _fmt(e.objectives[1]), _fmt(e.objectives[2]),
              ";".join(str(g) for g in e.genes)] for e in archive]
-    write_csv(path, header_lines, columns, rows)
+    write_csv(path, header_lines, _ARCHIVE_COLUMNS, rows)
 
 
 def read_archive_csv(path) -> tuple[list[str], tuple[ArchiveEntry, ...]]:
-    """The `# ` header lines and the entries of an archive CSV."""
+    """The `# ` header lines and the entries of an archive CSV.
+
+    ValueError unless the column row is the one `write_archive_csv` writes
+    and every row holds three finite objectives and a gene list.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     headers = [line[2:].strip() for line in lines if line.startswith("# ")]
     rows = [line.strip() for line in lines if not line.startswith("#")]
+    if rows[:1] != [",".join(_ARCHIVE_COLUMNS)]:
+        raise ValueError("the column row is missing")
     for line in rows[1:]:
-        cv, cs, ec, genes = line.split(",")
+        *values, genes = line.split(",")
+        objectives = tuple(map(float, values))
+        if len(objectives) != 3 or not all(map(math.isfinite, objectives)):
+            raise ValueError(f"row {line!r} does not hold three finite objectives")
         entries.append(ArchiveEntry(
             genes=tuple(int(g) for g in genes.split(";")) if genes else (),
-            objectives=(float(cv), float(cs), float(ec))))
+            objectives=objectives))
     return headers, tuple(entries)

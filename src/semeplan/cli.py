@@ -217,12 +217,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise StaleCacheError(f"archive {archive_path} is missing; "
                               "run optimize first")
     headers = _headers(scenario.content_hash(), args)
-    written, archive = analysis.read_archive_csv(archive_path)
+    try:
+        written, archive = analysis.read_archive_csv(archive_path)
+    except ValueError as exc:
+        raise StaleCacheError(f"archive {archive_path} is damaged: {exc}; "
+                              "rerun optimize")
     # The seed line is not compared: any restart's archive may be reported.
-    if any(line.split("=", 1)[0] in ("scenario_hash", "config")
-           and line not in headers for line in written):
-        raise StaleCacheError(f"archive {archive_path} was written from another "
-                              "scenario or with other options; rerun optimize")
+    if [line for line in written
+            if line.split("=", 1)[0] in ("scenario_hash", "config")] != headers:
+        raise StaleCacheError(f"archive {archive_path} was not written from this "
+                              "scenario with these options; rerun optimize")
+    if any(len(entry.genes) != scenario.n_sites for entry in archive):
+        raise StaleCacheError(f"archive {archive_path} holds a deployment that is "
+                              f"not {scenario.n_sites} genes long; rerun optimize")
     if len(archive) == 0:
         print("report: archive is empty", file=sys.stderr)
         return EXIT_RUNTIME
@@ -295,8 +302,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="normalized",
                         help="coverage deficit units: blind-spot-area "
                              "normalized (default) or raw m2")
-    parser.add_argument("--force", action="store_true",
-                        help="ignore cached artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sites)
     p_dbgen = sub.add_parser("dbgen", help="precompute the field database")
     _add_common(p_dbgen)
+    p_dbgen.add_argument("--force", action="store_true",
+                         help="rebuild the database even if it is current")
     p_opt = sub.add_parser("optimize", help="run the multi-objective search")
     _add_common(p_opt)
     p_opt.add_argument("--pop", type=int, default=None,

@@ -250,11 +250,17 @@ class MapDatabase:
 
     Entry keys are (site index 0-based, catalog gene value 1-based).
     """
-    grid: GridSpec
-    wavelength: float
     reference: np.ndarray
     entries: dict[tuple[int, int], np.ndarray]
     header: dict
+
+    @property
+    def grid(self) -> GridSpec:
+        return _parse_grid(self.header["grid"])
+
+    @property
+    def wavelength(self) -> float:
+        return self.header["wavelength_m"]
 
     @property
     def mode(self) -> str:
@@ -314,8 +320,7 @@ def build_database(scenario: Scenario, reference: np.ndarray,
     header = database_header(scenario, mode,
                              {"wall_loss_db": wall_loss_db, **(params or {})},
                              keys, plan)
-    return MapDatabase(grid=grid, wavelength=scenario.wavelength,
-                       reference=reference, entries=entries, header=header)
+    return MapDatabase(reference=reference, entries=entries, header=header)
 
 
 def selected_keys(db: MapDatabase, genes) -> list[tuple[int, int]]:
@@ -412,13 +417,13 @@ def load_database(path) -> MapDatabase:
     try:
         header = json.loads(blob[offset:offset + header_len].decode())
         # The scenario's grid reader, but a count must be a JSON integer
-        grid = _parse_grid(header["grid"])
+        _parse_grid(header["grid"])
         shape = (_whole(header["time_instants"]), 3,
                  _whole(header["grid"]["ny"]), _whole(header["grid"]["nx"]))
         keys = [(_whole(n), _whole(s)) for n, s in header["entries"]]
         if len(set(keys)) != len(keys):
             raise ValueError("the entry directory repeats an entry")
-        wavelength = _finite(header["wavelength_m"], "wavelength_m")
+        _finite(header["wavelength_m"], "wavelength_m")
         if header["metadata"]["mode"] not in COMBINING_MODES:
             raise ValueError(f"unknown mode {header['metadata']['mode']!r}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -440,8 +445,7 @@ def load_database(path) -> MapDatabase:
 
     reference = read_grid()
     entries = {key: read_grid() for key in keys}
-    return MapDatabase(grid=grid, wavelength=wavelength, reference=reference,
-                       entries=entries, header=header)
+    return MapDatabase(reference=reference, entries=entries, header=header)
 
 
 def export_power_csv(grid: GridSpec, power_dbm: np.ndarray, path,

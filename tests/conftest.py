@@ -6,7 +6,7 @@ from semeplan.objectives import Evaluator
 from semeplan.propagation import build_database, reference_field
 from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import build_rois, qualify_sites
-from semeplan.synthetic import coverable_toy
+from toys import coverable_toy
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")

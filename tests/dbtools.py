@@ -42,8 +42,8 @@ def tiny_db(cell_powers_dbm, wavelength=0.0857, spacing=5.0, mode="coherent"):
     for t in range(t_count):
         for ix in range(k):
             values[t, 2, 0, ix] = field_from_dbm(powers[t, ix], wavelength)
-    return MapDatabase(grid=scenario.grid, wavelength=wavelength, reference=values,
-                       entries={}, header=database_header(scenario, mode, {}, [], None))
+    return MapDatabase(reference=values, entries={},
+                       header=database_header(scenario, mode, {}, [], None))
 
 
 def with_header(blob, edit):

@@ -20,12 +20,12 @@ from semeplan.scenario import SeeType, scenario_from_dict
 from semeplan.siteplanner import (SitePlan, ase_radii, ase_region, ems_region,
                                   max_single_hop_range, path_within_reach,
                                   build_rois)
-from semeplan.synthetic import (DEFAULT_CATALOG, benchmark_problem,
-                                coverable_toy, pareto_toy, write_scenario)
+from semeplan.synthetic import DEFAULT_CATALOG, write_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE
 from dbtools import see_contribution
 from nsga2_oracle import dominates
 from objectives_oracle import coverage_deficit, fractions
+from toys import benchmark_problem, coverable_toy, pareto_toy
 
 PTH = -65.0
 
@@ -72,27 +72,35 @@ def test_c01_exhaustive_pareto_recovery():
     assert scenario.bts.sector_count == 1
     assert all(len(a) == 4 for a in plan.assignments)  # all sites feasible
 
+    started = time.monotonic()
     chromosomes = list(itertools.product(range(5), repeat=6))
     assert len(chromosomes) == 15625
     objectives = np.array([evaluator(np.array(c, int))[1]
                            for c in chromosomes])
     mask = true_front(objectives)
+    enumerated_s = time.monotonic() - started
     optimal = {chromosomes[i] for i in np.nonzero(mask)[0]}
     front_points = objectives[mask]
     ref_point = front_points.max(axis=0) * 1.1
     total_hv = hypervolume(front_points, ref_point)
 
-    config = GaConfig(population=12, iterations=500, seed=7,
-                      mutation_rate=0.2)
-    started = time.monotonic()
-    result = evolve(config, evaluator, plan.alphabets())
-    elapsed = time.monotonic() - started
+    runs = []
+    for seed in (0, 1, 2, 3, 4, 7):
+        config = GaConfig(population=12, iterations=500, seed=seed,
+                          mutation_rate=0.2)
+        started = time.monotonic()
+        result = evolve(config, evaluator, plan.alphabets())
+        elapsed = time.monotonic() - started
 
-    assert elapsed <= 60.0
-    assert all(entry.genes in optimal for entry in result.archive)
-    got_hv = hypervolume([e.objectives for e in result.archive], ref_point)
-    assert got_hv >= 0.99 * total_hv
-    report(1, "exhaustive Pareto-front recovery on the toy problem")
+        assert elapsed <= 60.0
+        assert all(entry.genes in optimal for entry in result.archive)
+        got_hv = hypervolume([e.objectives for e in result.archive], ref_point)
+        assert got_hv >= 0.99 * total_hv
+        runs.append(f"seed {seed}: {elapsed:.2f}s archive {len(result.archive)} "
+                    f"hypervolume ratio {got_hv / total_hv:.5f}")
+    report(1, f"exhaustive Pareto-front recovery on the toy problem "
+              f"(front {len(optimal)}, enumerated in {enumerated_s:.1f}s; "
+              f"{'; '.join(runs)})")
 
 
 def test_c02_nondominated_sort_oracle():

@@ -11,8 +11,9 @@ import semeplan
 from semeplan import cli, propagation
 from semeplan.cli import build_parser, main
 from semeplan.scenario import load_scenario
-from semeplan.synthetic import coverable_toy, demo_scenario, write_scenario
+from semeplan.synthetic import demo_scenario, write_scenario
 from dbtools import with_header, with_nan
+from toys import coverable_toy
 from test_scenario import LEAF_MUTATIONS, _DELETE, _leaf_paths
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
@@ -400,12 +401,20 @@ def test_restarts_score_each_distinct_chromosome_once(workspace, tmp_path,
     assert len(separate) > len(set(separate))
 
 
+def archive_headers(scenario, base):
+    """The `# ` lines report requires of an archive for these options."""
+    args = build_parser().parse_args(["report"] + base)
+    lines = cli._headers(load_scenario(scenario).content_hash(), args)
+    return "".join(f"# {line}\n" for line in lines)
+
+
 def test_report_on_handmade_singleton_archive(workspace):
     scenario, out, base = workspace
     assert main(["dbgen"] + base) == 0
     os.makedirs(out, exist_ok=True)
     archive = out / "archive.csv"
     archive.write_text(
+        archive_headers(scenario, base) +
         "coverage_deficit,cost_fraction,energy_fraction,genes\n"
         "12.5,0.0,0.0,0;0\n")
     assert main(["report"] + base) == 0
@@ -424,8 +433,51 @@ def test_report_empty_archive_fails(workspace):
     scenario, out, base = workspace
     assert main(["dbgen"] + base) == 0
     (out / "archive.csv").write_text(
+        archive_headers(scenario, base) +
         "coverage_deficit,cost_fraction,energy_fraction,genes\n")
     assert main(["report"] + base) == 4
+
+
+def _drop_lines(*starts):
+    """An archive damage that drops the lines beginning with any of `starts`."""
+    return lambda lines: [line for line in lines if not line.startswith(starts)]
+
+
+def _edit_row(edit):
+    """An archive damage that applies `edit` to the cells of the first row."""
+    def damage(lines):
+        first = lines.index("coverage_deficit,cost_fraction,energy_fraction,genes") + 1
+        lines[first] = ",".join(edit(lines[first].split(",")))
+        return lines
+    return damage
+
+
+# Each case turns the lines of a current archive of the coverable toy (two
+# sites) into lines that report must refuse.
+ARCHIVE_DAMAGES = {
+    "no_header_lines": _drop_lines("# scenario_hash=", "# config="),
+    "no_hash_line": _drop_lines("# scenario_hash="),
+    "no_config_line": _drop_lines("# config="),
+    "no_column_row": _drop_lines("coverage_deficit,"),
+    "one_gene": _edit_row(lambda cells: cells[:3] + ["1"]),
+    "three_genes": _edit_row(lambda cells: cells[:3] + ["1;1;1"]),
+    "nan_coverage": _edit_row(lambda cells: ["nan"] + cells[1:]),
+    "two_cells": _edit_row(lambda cells: cells[:1] + cells[3:]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ARCHIVE_DAMAGES))
+def test_report_refuses_a_damaged_archive(workspace, damage, capsys):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA) == 0
+    archive = out / "archive.csv"
+    lines = archive.read_text().splitlines()
+    archive.write_text("\n".join(ARCHIVE_DAMAGES[damage](lines)) + "\n")
+    capsys.readouterr()
+    assert main(["report"] + base) == 3
+    assert "rerun optimize" in capsys.readouterr().err
+    assert not (out / "solutions.csv").exists()
 
 
 def test_outputs_carry_hash_and_config(workspace):
@@ -481,6 +533,13 @@ def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2
     assert main(["frobnicate"] + base) == 2
+
+
+@pytest.mark.parametrize("stage", ["sites", "optimize", "report"])
+def test_force_is_a_dbgen_option_only(workspace, stage):
+    _, out, base = workspace
+    assert main([stage, "--force"] + base) == 2
+    assert not out.exists()
 
 
 # Each case gives a stage and one out-of-range option value for it.

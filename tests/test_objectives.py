@@ -117,8 +117,7 @@ def test_evaluator_names_an_entry_missing_from_the_database(coverable, mode):
     db = coverable["dbs"][mode]
     site = 1
     kind = coverable["plan"].kind_values(site)[0]
-    stale = MapDatabase(grid=db.grid, wavelength=db.wavelength,
-                        reference=db.reference,
+    stale = MapDatabase(reference=db.reference,
                         entries={key: grid for key, grid in db.entries.items()
                                  if key != (site, kind)},
                         header=db.header)

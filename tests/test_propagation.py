@@ -272,8 +272,7 @@ def test_failed_save_keeps_previous_database(tmp_path, coverable):
     path = tmp_path / "mapdb.bin"
     save_database(db, path)
     before = path.read_bytes()
-    broken = MapDatabase(grid=db.grid, wavelength=db.wavelength,
-                         reference=db.reference,
+    broken = MapDatabase(reference=db.reference,
                          entries={**db.entries, (9, 9): _ExplodingGrid()},
                          header={**db.header,
                                  "entries": db.header["entries"] + [[9, 9]]})
@@ -286,8 +285,7 @@ def test_failed_save_keeps_previous_database(tmp_path, coverable):
 def test_destructive_interference_cancels_exactly():
     sc = open_field(nx=4, ny=4)
     ref = reference_field(sc)
-    db = MapDatabase(grid=sc.grid, wavelength=sc.wavelength, reference=ref,
-                     entries={(0, 1): -ref},
+    db = MapDatabase(reference=ref, entries={(0, 1): -ref},
                      header=database_header(sc, "coherent", {}, [(0, 1)], None))
     assert power_map_watts(db, [1], 0).max() == 0.0
     assert power_map_dbm(db, [1], 0)[2, 2] == -np.inf

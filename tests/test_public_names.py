@@ -12,13 +12,10 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "semeplan"
 
 NO_PIPELINE_CALLER = {
-    "hypervolume": "front-quality measure for scripts/run_benchmark.py and "
-                   "the acceptance tests",
+    "hypervolume": "front-quality measure for the acceptance tests",
     "buildings_from_geojson": "turns map footprints into the buildings of a "
                               "scenario document, before any stage runs",
-    "coverable_toy": "bundled scenario: blind spots a known deployment covers",
     "demo_scenario": "bundled scenario: the demo town of scripts/run_demo.py",
-    "benchmark_problem": "bundled problem of scripts/run_benchmark.py",
     "write_scenario": "writes a bundled scenario to a file the CLI reads",
 }
 

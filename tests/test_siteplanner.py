@@ -11,6 +11,7 @@ from semeplan.siteplanner import (FeasibilityRow, Roi, ase_radii, ase_region,
                                   region_raster)
 from semeplan.synthetic import DEFAULT_CATALOG
 from semeplan.units import dbm_to_watts
+from toys import coverable_toy
 
 
 def paper_bts_scenario(tx_power_w=20.0, max_gain_dbi=16.3, catalog=(),
@@ -249,7 +250,6 @@ def test_report_reasons_recompute():
     # regions, so that every reason occurs.
     from semeplan.analysis import reference_blindspot
     from semeplan.propagation import point_power_dbm, reference_field
-    from semeplan.synthetic import coverable_toy
     doc = coverable_toy()
     for x in np.linspace(2.0, 113.0, 7).tolist():
         for y in np.linspace(2.0, 113.0, 7).tolist():
