@@ -51,15 +51,20 @@ def _headers(scenario_hash: str, args: argparse.Namespace) -> list[str]:
 
 
 def _prepare(args: argparse.Namespace, scenario: Scenario):
-    """Reference field, regions, feasibility report and site plan for the options."""
+    """Reference field, regions, feasibility report, site plan and the BTS
+    power at every site for the options."""
     reference = propagation.reference_field(scenario,
                                             wall_loss_db=args.wall_loss_db)
     _, blindspot = analysis.reference_blindspot(
         reference, scenario.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
+    incident = propagation.point_power_dbm(
+        scenario, [site.position for site in scenario.sites],
+        wall_loss_db=args.wall_loss_db)
     report, plan = siteplanner.qualify_sites(scenario, rois, args.pth_dbm,
-                                             wall_loss_db=args.wall_loss_db)
-    return reference, rois, report, plan
+                                             wall_loss_db=args.wall_loss_db,
+                                             incident_dbm=incident)
+    return reference, rois, report, plan, incident
 
 
 def _db_path(args: argparse.Namespace) -> str:
@@ -107,7 +112,7 @@ def _current_db(args: argparse.Namespace, scenario: Scenario):
 
 def cmd_sites(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    _, rois, report, plan = _prepare(args, scenario)
+    _, rois, report, plan, _ = _prepare(args, scenario)
     headers = _headers(scenario.content_hash(), args)
     os.makedirs(args.out, exist_ok=True)
     siteplanner.write_feasibility_csv(
@@ -142,12 +147,13 @@ def cmd_dbgen(args: argparse.Namespace) -> int:
             return EXIT_OK
         except StaleCacheError:
             pass
-    reference, rois, _, plan = _prepare(args, scenario)
+    reference, rois, _, plan, incident = _prepare(args, scenario)
     os.makedirs(args.out, exist_ok=True)
+    # Each site's fields are computed as the save reaches its entries
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
         mode=args.mode, wall_loss_db=args.wall_loss_db,
-        params=_db_params(args), plan=plan)
+        params=_db_params(args), plan=plan, incident_dbm=incident, streamed=True)
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
     return EXIT_OK

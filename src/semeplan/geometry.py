@@ -59,45 +59,42 @@ def _segments_touch(px1, py1, px2, py2, qx1, qy1, qx2, qy2) -> bool:
     return 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0
 
 
-def _distance_to_segment(a, b) -> float:
-    """Plan distance from (0, 0) to the segment a-b."""
-    sx, sy = b[0] - a[0], b[1] - a[1]
-    length2 = sx * sx + sy * sy
-    lam = min(max(-(a[0] * sx + a[1] * sy) / length2, 0.0), 1.0) if length2 else 0.0
-    return math.hypot(a[0] + lam * sx, a[1] + lam * sy)
+def _wedges(rel: np.ndarray):
+    """Where each footprint can block segments from the origin.
 
-
-def _shadow(origin_xy: np.ndarray, polygon: np.ndarray):
-    """Where a footprint can block segments from `origin_xy`, or None.
-
-    Returns (cos_c, sin_c, tan_half, min_reach): a target can be blocked
-    only if its bearing is within atan(tan_half) of the bearing
-    (cos_c, sin_c) and its plan distance is at least `min_reach`.  None
-    means no such bound is safe and every target must be tested.
+    `rel` holds the footprints' vertices relative to the origin, (F, V, 2),
+    each polygon padded to V vertices by repeating its last one.  Returns
+    (centre, half, min_reach, cullable), each (F,): a target can be blocked
+    by footprint f only if its bearing is within half[f] of centre[f] and
+    its plan distance is at least min_reach[f].  Where cullable[f] is
+    False no such bound is safe and every target must be tested.
     """
-    ox, oy = origin_xy.tolist()
-    rel = [(x - ox, y - oy) for x, y in polygon.tolist()]
-    edges = list(zip(rel, rel[1:] + rel[:1]))
-    reach = max(math.hypot(x, y) for x, y in rel)
+    x, y = rel[..., 0], rel[..., 1]
+    reach = np.hypot(x, y).max(axis=1)
     # The middle of a long wall can be nearer than its corners, so this is
-    # the nearest boundary point, not the nearest vertex.
-    nearest = min(_distance_to_segment(a, b) for a, b in edges)
+    # the nearest boundary point, not the nearest vertex.  A padding edge
+    # has no length and gives its vertex's distance.
+    sx, sy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+    length2 = sx * sx + sy * sy
+    lam = np.clip(np.divide(-(x * sx + y * sy), length2,
+                            out=np.zeros_like(length2), where=length2 > 0), 0.0, 1.0)
+    nearest = np.hypot(x + lam * sx, y + lam * sy).min(axis=1)
     # Crossings count up to 1e-12 of an edge beyond its ends; the slacks
     # cover that with three orders of magnitude to spare.
     slack = 1e-9 * reach
-    if nearest <= slack:
-        return None  # the origin is on a wall
-    sweep = [0.0]  # bearing of each vertex relative to the first
-    for (x0, y0), (x1, y1) in edges[:-1]:
-        sweep.append(sweep[-1] + math.atan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1))
-    lo, hi = min(sweep), max(sweep)
-    half = 0.5 * (hi - lo) + slack / nearest + 1e-9
+    on_wall = nearest <= slack
+    # Bearing of each later vertex relative to the first (the initial 0.0);
+    # a padding vertex adds 0.
+    sweep = np.cumsum(np.arctan2(x[:, :-1] * y[:, 1:] - y[:, :-1] * x[:, 1:],
+                                 x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:]), axis=1)
+    lo, hi = sweep.min(axis=1, initial=0.0), sweep.max(axis=1, initial=0.0)
+    half = 0.5 * (hi - lo) + 1e-9 + np.divide(
+        slack, nearest, out=np.full_like(nearest, np.inf), where=~on_wall)
     # An origin inside winds the edges a full turn in steps of less than
     # half a turn, so its vertices span more than half a turn: caught here.
-    if half >= 0.5 * math.pi:
-        return None  # the wedge spans half a turn or more
-    centre = math.atan2(rel[0][1], rel[0][0]) + 0.5 * (lo + hi)
-    return math.cos(centre), math.sin(centre), math.tan(half), nearest - slack
+    cullable = half < 0.5 * math.pi
+    centre = np.arctan2(y[:, 0], x[:, 0]) + 0.5 * (lo + hi)
+    return centre, half, nearest - slack, cullable
 
 
 def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
@@ -119,41 +116,81 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
     the edge parameter with room to spare.  Every target is tested when
     the origin lies on a wall (d <= 1e-9 * R) or inside the footprint, or
     when the widened wedge spans half a turn or more.
+
+    The targets are sorted by bearing once per call, so a wedge selects
+    one run of them, or two when it crosses the bearing of +-pi.  All
+    (footprint, target) pairs so selected then meet the footprints' edges
+    one edge index at a time.
     """
     origin = np.asarray(origin, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     m = len(targets)
-    counts = np.zeros(m, dtype=np.int64)
+    if not footprints or not m:
+        return np.zeros(m, dtype=np.int64)
     o_xy = origin[:2]
     o_z = origin[2]
-    dz = targets[:, 2] - o_z
     rel = targets[:, :2] - o_xy
+    dz = targets[:, 2] - o_z
     reaches = np.hypot(rel[:, 0], rel[:, 1])
-    for polygon, height in footprints:
-        shadow = _shadow(o_xy, polygon)
-        if shadow is None:
-            idx = slice(None)
-        else:
-            cos_c, sin_c, tan_half, min_reach = shadow
-            along, across = (rel @ np.array([[cos_c, -sin_c], [sin_c, cos_c]])).T
-            idx = np.flatnonzero((np.abs(across) <= tan_half * along)
-                                 & (reaches >= min_reach))
-            if not len(idx):
-                continue
-        # All E edges against the K culled targets in one (K, E) test
-        r = rel[idx]
-        s = np.concatenate([polygon[1:], polygon[:1]]) - polygon  # edge vectors
-        qp = polygon - o_xy
-        den = r[:, :1] * s[:, 1] - r[:, 1:] * s[:, 0]
-        # Pairs with |den| <= 1e-15 are masked out below; only such a pair can
-        # overflow (numerators stay near 1e10, so it takes |den| < 1e-298).
-        # On edge-parallel rays t is inf, and t * dz may be nan.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / den
-            u = (qp[:, 0] * r[:, 1:] - qp[:, 1] * r[:, :1]) / den
-            z_at = o_z + t * dz[idx, None]
-        hit = (np.abs(den) > 1e-15) \
-            & (t > _ENDPOINT_TOL) & (t < 1.0 - _ENDPOINT_TOL) \
-            & (u >= -1e-12) & (u <= 1.0 + 1e-12) & (z_at < height)
-        counts[idx] += hit.any(axis=1)
-    return counts
+    sizes = np.array([len(polygon) for polygon, _ in footprints])
+    n_max = int(sizes.max())
+    # Every polygon padded to n_max vertices by repeating its last one
+    pad = (np.cumsum(sizes) - sizes)[:, None] \
+        + np.minimum(np.arange(n_max), sizes[:, None] - 1)
+    vertices = np.concatenate([polygon for polygon, _ in footprints]).astype(
+        float, copy=False)[pad]  # (F, V, 2)
+    heights = np.array([height for _, height in footprints], dtype=float)
+    qp = vertices - o_xy
+    centre, half, min_reach, cullable = _wedges(qp)
+
+    # Runs of the bearing-sorted targets: [lo, hi] for each cullable wedge,
+    # the same shifted by a turn for a wedge that crosses +-pi, and every
+    # target for the other footprints.
+    bearing = np.arctan2(rel[:, 1], rel[:, 0])
+    order = np.argsort(bearing)
+    bearing = bearing[order]
+    wedge = np.flatnonzero(cullable)
+    centre = np.remainder(centre[wedge] + math.pi, 2.0 * math.pi) - math.pi
+    lo, hi = centre - half[wedge], centre + half[wedge]
+    shift = np.where(lo < -math.pi, 2.0 * math.pi,
+                     np.where(hi > math.pi, -2.0 * math.pi, 0.0))
+    seam = shift != 0.0
+    wide = np.flatnonzero(~cullable)
+    owner = np.concatenate([wedge, wedge[seam], wide])
+    starts = np.concatenate([
+        np.searchsorted(bearing, np.concatenate([lo, (lo + shift)[seam]]), "left"),
+        np.zeros(len(wide), dtype=np.intp)])
+    stops = np.concatenate([
+        np.searchsorted(bearing, np.concatenate([hi, (hi + shift)[seam]]), "right"),
+        np.full(len(wide), m, dtype=np.intp)])
+    lengths = stops - starts
+    pair_f = np.repeat(owner, lengths)
+    pair_t = order[np.arange(len(pair_f))
+                   + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)]
+    near = reaches[pair_t] >= np.where(cullable, min_reach, -np.inf)[pair_f]
+    pair_f, pair_t = pair_f[near], pair_t[near]
+
+    # The edge test of every pair, one edge index at a time.  A padding
+    # edge has no length, so den = 0 there and it never hits.
+    edges = np.roll(vertices, -1, axis=1) - vertices  # edge vectors
+    t_num = qp[..., 0] * edges[..., 1] - qp[..., 1] * edges[..., 0]
+    per_pair = np.take(np.concatenate([edges[..., 0], edges[..., 1], qp[..., 0],
+                                       qp[..., 1], t_num, heights[:, None]], axis=1),
+                       pair_f, axis=0).T
+    sx, sy, qx, qy, t_num = per_pair[:-1].reshape(5, n_max, -1)
+    pair_height = per_pair[-1]
+    rx, ry = rel[pair_t, 0], rel[pair_t, 1]
+    pair_dz = dz[pair_t]
+    blocked = np.zeros(len(pair_t), dtype=bool)
+    # Pairs with |den| <= 1e-15 are masked out below; only such a pair can
+    # overflow (numerators stay near 1e10, so it takes |den| < 1e-298).
+    # On edge-parallel rays t is inf, and t * dz may be nan.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n_max):
+            den = rx * sy[j] - ry * sx[j]
+            t = t_num[j] / den
+            u = (qx[j] * ry - qy[j] * rx) / den
+            blocked |= (np.abs(den) > 1e-15) \
+                & (t > _ENDPOINT_TOL) & (t < 1.0 - _ENDPOINT_TOL) \
+                & (u >= -1e-12) & (u <= 1.0 + 1e-12) & (o_z + t * pair_dz < pair_height)
+    return np.bincount(pair_t[blocked], minlength=m).astype(np.int64, copy=False)

@@ -10,10 +10,12 @@ over the reference map.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -117,7 +119,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
     dist = np.linalg.norm(delta, axis=1)
     dist = np.maximum(dist, 1e-6)
     directions = delta / dist[:, None]
-    polarization = _polarization(directions).T
+    # Complex once, so that no source's product casts it again (same values)
+    polarization = _polarization(directions).T.astype(np.complex128)
     loss = 10.0 ** (-wall_loss_db * walls / 20.0)
     slabs = np.zeros((len(sources), 3, len(points)), dtype=np.complex128)
     phases = {extra: np.exp(-2j * np.pi * (dist + extra) / wavelength)
@@ -129,7 +132,10 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
         eirp = src.power_w * 10.0 ** (gain_db / 10.0)
         amplitude = np.sqrt(2.0 * FREE_SPACE_IMPEDANCE * eirp / (4.0 * np.pi)) \
             / dist * loss
-        slab += (amplitude * phases[src.extra_path_m]) * polarization
+        # Into the slab without a temporary; adding 0.0 then gives what adding
+        # x to the zeroed slab gave, bit for bit (-0.0 becomes +0.0)
+        np.multiply(amplitude * phases[src.extra_path_m], polarization, out=slab)
+        slab += 0.0
     if not np.isfinite(slabs).all():
         raise ValueError("computed field contains non-finite values")
     return slabs
@@ -287,40 +293,79 @@ def database_header(scenario: Scenario, mode: str, params: Mapping[str, float],
             "plan": {} if plan is None else {"assignments": plan.to_jsonable()}}
 
 
+class _StreamedEntries(Mapping):
+    """Entry fields computed when read, one site's at a time.
+
+    `radiate(n)` returns site n's entries as a dict.  Reading the keys in
+    directory order, as `save_database` does, radiates every site once and
+    holds only the last site's fields.
+    """
+
+    def __init__(self, radiate: Callable[[int], dict], keys: list[tuple[int, int]]):
+        self._radiate = radiate
+        self._keys = keys
+        self._site_entries: dict = {}
+
+    def __getitem__(self, key):
+        if key not in self._site_entries:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._site_entries = {}  # dropped before the next site radiates
+            self._site_entries = self._radiate(key[0])
+        return self._site_entries[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 def build_database(scenario: Scenario, reference: np.ndarray,
                    assignments: Mapping[tuple[int, int], Sequence],
                    *, mode: str = "coherent",
                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
-                   plan: SitePlan | None = None) -> MapDatabase:
+                   plan: SitePlan | None = None,
+                   incident_dbm: np.ndarray | None = None,
+                   streamed: bool = False) -> MapDatabase:
     """Bundle the reference field with every assigned device contribution.
 
     `reference` is the scenario's `reference_field` at the same wall loss.
     `assignments` maps (site index, gene value) to the per-instant aim
-    points for that pair, as produced by the site planner.  One
-    `point_power_dbm` call gives the BTS power at every entry site, and
-    each site radiates all of its kinds in one `_site_fields` call.
+    points for that pair, as produced by the site planner.
+    `incident_dbm` is the BTS power at every scenario site, (T, n_sites)
+    in dBm, as `point_power_dbm` gives it for `scenario.sites` at the same
+    wall loss; one such call computes it when it is not given.  Each site
+    radiates all of its kinds in one `_site_fields` call.
+
+    With `streamed`, the entries are computed when they are read, one
+    site at a time, and only the last site's are kept: `save_database`
+    then writes each site's fields as soon as they are computed.
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")
     grid = scenario.grid
     if reference.shape != (scenario.time_instants, 3, grid.ny, grid.nx):
         raise ValueError("reference field does not match the scenario")
+    if incident_dbm is None:
+        incident_dbm = point_power_dbm(scenario, [site.position for site in scenario.sites],
+                                       wall_loss_db=wall_loss_db)
     keys = sorted(assignments)
-    sites = sorted({n for n, _ in keys})
-    incident = point_power_dbm(scenario, [scenario.sites[n].position for n in sites],
-                               wall_loss_db=wall_loss_db)
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    for i, n in enumerate(sites):
+
+    def radiate(n: int) -> dict:
         site_keys = [key for key in keys if key[0] == n]
-        entries.update(zip(site_keys, _site_fields(
-            scenario, scenario.sites[n], incident[:, i],
+        return dict(zip(site_keys, _site_fields(
+            scenario, scenario.sites[n], incident_dbm[:, n],
             [(scenario.catalog[s - 1], assignments[(n, s)]) for _, s in site_keys],
             wall_loss_db)))
+
+    entries = _StreamedEntries(radiate, keys)
     header = database_header(scenario, mode,
                              {"wall_loss_db": wall_loss_db, **(params or {})},
                              keys, plan)
-    return MapDatabase(reference=reference, entries=entries, header=header)
+    return MapDatabase(reference=reference,
+                       entries=entries if streamed else dict(entries), header=header)
 
 
 def selected_keys(db: MapDatabase, genes) -> list[tuple[int, int]]:
@@ -377,17 +422,28 @@ def power_map_dbm(db: MapDatabase, genes, t: int) -> np.ndarray:
 
 
 def save_database(db: MapDatabase, path) -> None:
-    """Write the header, the reference, then the entries in directory order."""
+    """Write the header, the reference, then the entries in directory order.
+
+    Each grid is read from `db` and written, as complex64, before the next
+    one is read, so a streamed database (`build_database(streamed=True)`)
+    never holds all of its entries.  A grid with a value that is not
+    finite as complex64 raises DatabaseError, since `load_database` would
+    reject the file.  On any failure `path` keeps its previous contents.
+    """
     header = json.dumps(db.header, sort_keys=True, separators=(",", ":")).encode()
+    grids = itertools.chain([db.reference], (db.entries[(n, s)]
+                                             for n, s in db.header["entries"]))
     try:
         with replaced_atomically(path, "wb") as fh:
             fh.write(_DB_MAGIC)
             fh.write(np.array(len(header), dtype="<u4").tobytes())
             fh.write(header)
-            fh.write(np.ascontiguousarray(db.reference).astype("<c8").tobytes())
-            for n, s in db.header["entries"]:
-                fh.write(np.ascontiguousarray(db.entries[(n, s)])
-                         .astype("<c8").tobytes())
+            for grid in grids:
+                raw = np.ascontiguousarray(grid, dtype="<c8")
+                if not np.isfinite(raw).all():
+                    raise DatabaseError(f"not writing {path}: a field value is "
+                                        "not finite")
+                fh.write(raw)
     except OSError as exc:
         raise DatabaseError(f"cannot write database {path}: {exc}")
 

@@ -282,20 +282,23 @@ class SitePlan:
 
 
 def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
-                  *, wall_loss_db: float = propagation.DEFAULT_WALL_LOSS_DB
+                  *, wall_loss_db: float = propagation.DEFAULT_WALL_LOSS_DB,
+                  incident_dbm: np.ndarray | None = None
                   ) -> tuple[tuple[FeasibilityRow, ...], SitePlan]:
     """Evaluate every (site, region, class) triple and build the site plan.
 
     The report carries one verdict per triple regardless of what the site
     operator allows there; the plan intersects location feasibility with
     each site's admissible kinds and aims every retained (site, kind) at
-    its nearest feasible region.
+    its nearest feasible region.  `incident_dbm` is the BTS power at every
+    site, (T, n_sites) in dBm, as `point_power_dbm` gives it at the same
+    wall loss; one such call computes it when it is not given.
     """
     active_kinds = [(s, k) for s, k in enumerate(scenario.catalog, start=1)
                     if k.is_active]
     positions = np.asarray([s.position for s in scenario.sites], float).reshape(-1, 3)
-    incident = propagation.point_power_dbm(scenario, positions,
-                                           wall_loss_db=wall_loss_db)
+    incident = incident_dbm if incident_dbm is not None else propagation.point_power_dbm(
+        scenario, positions, wall_loss_db=wall_loss_db)
     # Region membership of every site at once, per region and per kind
     ems_inside = {roi.index: ems_region(scenario, roi, pth_dbm)(positions).tolist()
                   for roi in rois}

@@ -1,8 +1,8 @@
 """Unculled occlusion count: every target against every footprint edge, one
 edge at a time.
 
-The reference for `geometry.count_blocking_footprints`, whose angular cull
-and (targets, edges) broadcast must give the same integer counts.
+The reference for `geometry.count_blocking_footprints`, whose bearing cull
+and batched (footprint, target) edge test must give the same integer counts.
 """
 import numpy as np
 

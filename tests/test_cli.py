@@ -122,6 +122,95 @@ def test_sites_and_forced_dbgen_compute_the_reference_twice(workspace,
     assert len(calls) == 2
 
 
+def test_sites_and_forced_dbgen_compute_the_site_power_once_per_stage(
+        tmp_path, monkeypatch):
+    # One point_power_dbm call per stage gives the base station's power at
+    # every site.  dbgen radiates each entry site with its column, bit for
+    # bit what a fresh call for the entry sites gives.
+    scenario = tmp_path / "demo.json"
+    write_scenario(demo_scenario(), scenario)
+    base = ["--scenario", str(scenario), "--out", str(tmp_path / "run"),
+            "--mode", "incoherent", "--wall-loss-db", "30"]
+    fresh = propagation.point_power_dbm
+    calls = _counting(monkeypatch, "point_power_dbm")
+    radiated, site_fields = [], propagation._site_fields
+
+    def recording(scenario, site, incident_dbm, *args):
+        radiated.append((site.position, incident_dbm.copy()))
+        return site_fields(scenario, site, incident_dbm, *args)
+
+    monkeypatch.setattr(propagation, "_site_fields", recording)
+    assert main(["sites"] + base) == 0
+    assert len(calls) == 1
+    assert main(["dbgen", "--force"] + base) == 0
+    assert len(calls) == 2
+    expected = fresh(load_scenario(scenario), [position for position, _ in radiated],
+                     wall_loss_db=30.0)
+    assert len(radiated) == 5
+    for column, (_, incident_dbm) in zip(expected.T, radiated):
+        assert incident_dbm.tobytes() == column.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["raises", "nan", "inf"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_failed_streamed_dbgen_keeps_the_previous_database(workspace, monkeypatch,
+                                                           capsys, fault, k):
+    # The k-th site's fields fail to compute, or hold a non-finite value:
+    # dbgen exits 4 part way through the streamed write, and the previous
+    # file stays as it was, with no temporary file left beside it.
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    before = (out / "mapdb.bin").read_bytes()
+    names = sorted(p.name for p in out.iterdir())
+    site_fields, sites = propagation._site_fields, []
+
+    def faulty(*args):
+        fields = site_fields(*args)
+        sites.append(args[1])
+        if len(sites) == k + 1:
+            if fault == "raises":
+                raise RuntimeError("site fields failed")
+            fields[-1, -1, -1, -1, -1] = complex(float(fault), 0.0)
+        return fields
+
+    monkeypatch.setattr(propagation, "_site_fields", faulty)
+    assert main(["dbgen", "--force"] + base) == 4
+    assert len(sites) == k + 1
+    assert (out / "mapdb.bin").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == names
+    monkeypatch.undo()
+    assert main(["dbgen", "--force"] + base) == 0
+    assert (out / "mapdb.bin").read_bytes() == before
+    capsys.readouterr()
+    assert main(["dbgen"] + base) == 0
+    assert "cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("document, options", [
+    (demo_scenario, ["--mode", "incoherent", "--wall-loss-db", "30"]),
+    (coverable_toy, ["--mode", "coherent"]),
+], ids=["demo", "coverable"])
+def test_streamed_dbgen_writes_the_bytes_of_the_built_database(tmp_path, document,
+                                                               options):
+    # dbgen streams each site's fields into the file with the site power of
+    # its site qualification; a library caller builds every entry in memory
+    # and computes that power itself.  The one writer gives equal bytes.
+    scenario = tmp_path / "scenario.json"
+    write_scenario(document(), scenario)
+    base = ["--scenario", str(scenario), "--out", str(tmp_path / "run")] + options
+    assert main(["dbgen", "--force"] + base) == 0
+    args = build_parser().parse_args(["dbgen"] + base)
+    sc = load_scenario(scenario)
+    reference, rois, _, plan, _ = cli._prepare(args, sc)
+    db = propagation.build_database(
+        sc, reference, plan.db_assignments(rois, sc.grid.height), mode=args.mode,
+        wall_loss_db=args.wall_loss_db, params=cli._db_params(args), plan=plan)
+    assert type(db.entries) is dict and len(db.entries) > 0
+    propagation.save_database(db, tmp_path / "built.bin")
+    assert (tmp_path / "built.bin").read_bytes() == \
+        (tmp_path / "run" / "mapdb.bin").read_bytes()
+
+
 def test_report_forms_each_map_once(workspace, monkeypatch):
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0

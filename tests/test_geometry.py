@@ -1,10 +1,13 @@
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polygon_oracle
 from occlusion_oracle import brute_force_counts
 from semeplan.geometry import count_blocking_footprints, polygon_is_simple
+from semeplan.scenario import scenario_from_dict
+from semeplan.synthetic import demo_scenario
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 
@@ -215,5 +218,84 @@ def test_culled_counts_equal_brute_force_on_many_sided_footprints(
         z = np.resize(np.array(heights, float), len(xy))
         targets = np.column_stack([xy, z])
         origin = np.append(origin_xy, float(origin_z))
+        np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
+                                      brute_force_counts(origin, targets, fps))
+
+
+@st.composite
+def radial_polygons(draw):
+    """3 to 8 vertices at distinct bearings (multiples of 22.5 degrees)
+    around a centre, at radii 2 to 12: concave where a vertex dips inward.
+    Coordinates are rounded to 0.5 m, so some vertices and edge lines sit
+    exactly on the origins and targets drawn below."""
+    n = draw(st.integers(3, 8))
+    steps = np.sort(draw(st.lists(st.integers(0, 15), min_size=n, max_size=n,
+                                  unique=True)))
+    radii = np.array(draw(st.lists(st.integers(2, 12), min_size=n, max_size=n)), float)
+    centre = np.array([draw(coord), draw(coord)])
+    angles = steps * (np.pi / 8.0)
+    polygon = np.round(2.0 * (centre + radii[:, None] * np.column_stack(
+        [np.cos(angles), np.sin(angles)]))) / 2.0
+    assume(polygon_is_simple(polygon))
+    if draw(st.booleans()):
+        polygon = polygon[::-1]  # clockwise
+    return polygon, float(draw(st.integers(2, 40))), centre
+
+
+@st.composite
+def seam_cases(draw):
+    polygon, height, centre = draw(radial_polygons())
+    fps = [(polygon, height)] + draw(st.lists(footprints(), max_size=2))
+    i = draw(st.integers(0, len(polygon) - 1))
+    a, b = polygon[i], polygon[(i + 1) % len(polygon)]
+    place = draw(st.sampled_from(["wall", "vertex", "centre", "seam", "anywhere"]))
+    if place == "wall":
+        origin_xy = a + draw(st.sampled_from([0.25, 0.5, 0.75])) * (b - a)
+    elif place == "vertex":
+        origin_xy = a.copy()
+    elif place == "centre":  # inside unless every vertex lies in one half-plane
+        origin_xy = centre
+    elif place == "seam":
+        # East of the polygon at its height: its wedge crosses the bearing +-pi.
+        origin_xy = np.array([polygon[:, 0].max() + draw(st.integers(1, 20)),
+                              draw(st.sampled_from([polygon[:, 1].mean(), centre[1],
+                                                    a[1]]))])
+    else:
+        origin_xy = np.array([draw(coord), draw(coord)])
+    origin = np.append(origin_xy, float(draw(st.integers(1, 45))))
+    ring = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    ray = np.array([draw(st.integers(-3, 3)), draw(st.integers(-3, 3))], float)
+    xy = [origin_xy[None],                                     # at the origin
+          origin_xy + np.outer([1.0, 2.0, 5.0, 9.0], ray),    # one bearing
+          origin_xy - np.outer([1.0, 4.0, 10.0, 25.0], [1.0, 0.0]),  # on +-pi
+          origin_xy + np.outer([-6.0, -14.0, -30.0], [1.0, 1e-9]),  # just above it
+          origin_xy + np.outer([-6.0, -14.0, -30.0], [1.0, -1e-9]),  # just below
+          origin_xy + 30.0 * np.column_stack([np.cos(ring), np.sin(ring)])]
+    for poly, _ in fps:  # vertices and points on the extended edge lines
+        xy += [poly] + [_on_edge(poly, j, float(draw(st.integers(-3, 4))) / 2.0)[None]
+                        for j in range(len(poly))]
+    xy = np.vstack(xy)
+    heights = draw(st.lists(st.integers(0, 45), min_size=8, max_size=8))
+    targets = np.column_stack([xy, np.resize(np.array(heights, float), len(xy))])
+    return origin, targets, fps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300)
+@given(seam_cases())
+def test_counts_equal_brute_force_at_walls_vertices_and_the_seam(case):
+    # Floating-point warnings are errors: no wedge of the cull may compute
+    # on an inf or a nan, the uncullable ones included.
+    origin, targets, fps = case
+    with np.errstate(all="raise"):
+        counts = count_blocking_footprints(origin, targets, fps)
+    np.testing.assert_array_equal(counts, brute_force_counts(origin, targets, fps))
+
+
+def test_counts_equal_brute_force_from_every_demo_origin():
+    sc = scenario_from_dict(demo_scenario())
+    targets = sc.grid.centers()
+    fps = sc.footprints()
+    for origin in [sc.bts.position] + [site.position for site in sc.sites]:
         np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
                                       brute_force_counts(origin, targets, fps))

@@ -380,11 +380,13 @@ def test_equal_scenarios_give_equal_fields_and_are_released():
 
 
 def test_build_counts_each_entry_sites_walls_once(monkeypatch):
-    # One occlusion call for the base station's power at every entry site,
-    # and one per entry site over the grid, shared by the site's kinds.
+    # One occlusion call per entry site over the grid, shared by the site's
+    # kinds.  The base station's power at the sites is handed in, as dbgen
+    # hands in the one its site qualification computed.
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
     reference = reference_field(sc)
+    incident = point_power_dbm(sc, [site.position for site in sc.sites])
     calls = []
 
     def counting(origin, targets, footprints):
@@ -392,10 +394,9 @@ def test_build_counts_each_entry_sites_walls_once(monkeypatch):
         return count_blocking_footprints(origin, targets, footprints)
 
     monkeypatch.setattr(propagation, "count_blocking_footprints", counting)
-    build_database(sc, reference, assignments)
+    build_database(sc, reference, assignments, incident_dbm=incident)
     sites = {n for n, _ in assignments}
-    assert len(calls) == 1 + len(sites)
-    assert calls[0] == len(sites)
+    assert calls == [sc.grid.nx * sc.grid.ny] * len(sites)
 
 
 def _count_radiate_calls(monkeypatch):
@@ -419,18 +420,36 @@ def test_base_station_radiates_every_sector_and_instant_in_one_call(monkeypatch)
 
 
 def test_build_radiates_each_entry_site_once(monkeypatch):
-    # One call for the base station's power at every entry site, and one
-    # per entry site for all of its (kind, instant) sources.
+    # One call per entry site for all of its (kind, instant) sources; the
+    # base station's power at the sites is handed in.
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
     reference = reference_field(sc)
+    incident = point_power_dbm(sc, [site.position for site in sc.sites])
     calls = _count_radiate_calls(monkeypatch)
-    build_database(sc, reference, assignments)
+    build_database(sc, reference, assignments, incident_dbm=incident)
     sites = sorted({n for n, _ in assignments})
     assert len(sites) == 5
-    assert calls == [sc.time_instants * sc.bts.sector_count] + [
-        sum(1 for key in assignments if key[0] == n) * sc.time_instants
-        for n in sites]
+    assert calls == [sum(1 for key in assignments if key[0] == n) * sc.time_instants
+                     for n in sites]
+
+
+def test_streamed_build_radiates_each_site_when_its_first_entry_is_read(monkeypatch):
+    # Nothing is radiated before an entry is read; read in directory order,
+    # every site radiates once, into the in-memory build's values.
+    sc = scenario_from_dict(demo_scenario())
+    assignments = _every_kind_everywhere(sc)
+    db = build_database(sc, reference_field(sc), assignments)
+    calls = _count_radiate_calls(monkeypatch)
+    streamed = build_database(sc, db.reference, assignments, streamed=True)
+    assert len(calls) == 1  # the base station's power at the sites
+    assert list(streamed.entries) == sorted(assignments)
+    assert len(streamed.entries) == len(assignments)
+    for key in sorted(assignments):
+        assert streamed.entries[key].tobytes() == db.entries[key].tobytes()
+    assert len(calls) == 1 + len({n for n, _ in assignments})
+    with pytest.raises(KeyError):
+        streamed.entries[(0, 99)]
 
 
 def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):

@@ -29,3 +29,35 @@ def test_semeplan_imports_resolve(tool):
         if isinstance(node, ast.ImportFrom) and node.level == 0 \
                 and node.module.split(".")[0] == "semeplan":
             exec(compile(ast.Module([node], type_ignores=[]), str(tool), "exec"), {})
+
+
+def test_traced_sites_and_dbgen_report_the_database_bytes(tmp_path):
+    # The benchmark's tracer wraps the public functions of every layer and
+    # reads the saved file through save_database's path argument.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    from semeplan import cli
+    from semeplan.synthetic import demo_scenario, write_scenario
+
+    scenario = tmp_path / "demo.json"
+    write_scenario(demo_scenario(), scenario)
+    out = tmp_path / "run"
+    base = ["--scenario", str(scenario), "--out", str(out),
+            "--mode", "incoherent", "--wall-loss-db", "30"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["sites"] + base) == 0
+        assert cli.main(["dbgen", "--force"] + base) == 0
+    finally:
+        tracer.uninstall()
+    metrics, stages = tracing.layer_metrics(tracer)
+    assert [stage["name"] for stage in stages] == ["cli.main", "cli.main"]
+    assert metrics["propagation.db_bytes_written"] == (out / "mapdb.bin").stat().st_size
+    assert metrics["propagation.point_power_calls"] == 2
+    # Per stage one reference field and one site power; dbgen adds one
+    # call per entry site (5 on the demo town)
+    assert metrics["geometry.occlusion_calls"] == 2 * 2 + 5
