@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ REPRESENTATIVE_NAMES = ("best_coverage", "best_compromise",
                         "coverage_cost", "coverage_energy")
 
 
-@dataclass(eq=False)
 class BlindSpot:
     """Cells below the power threshold, per instant, with their regions.
 
@@ -30,8 +28,12 @@ class BlindSpot:
     `extract_blindspot` was given, labeled in row-major order of their
     first cell.
     """
-    masks: np.ndarray  # (T, ny, nx) bool
-    components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    __slots__ = ("masks", "components")
+
+    def __init__(self, masks: np.ndarray,  # (T, ny, nx) bool
+                 components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
+        self.masks = masks
+        self.components = components
 
     @property
     def time_instants(self) -> int:
@@ -147,8 +149,7 @@ def select_representatives(archive: Sequence[ArchiveEntry]) -> dict[str, Archive
 # Reduction statistics
 
 
-@dataclass(frozen=True)
-class RoiReduction:
+class RoiReduction(NamedTuple):
     roi: int
     t: int
     area_ref_m2: float

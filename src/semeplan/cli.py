@@ -9,6 +9,7 @@ lines, so reruns with one seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -412,5 +413,16 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
+def run() -> None:
+    """`main` as a process: `python -m semeplan.cli` and the `semeplan` script.
+
+    Freezing the collector's objects skips the collection at exit that would
+    only tear them down; exit still flushes stdout and runs atexit.  `main`
+    itself never freezes, as tests call it in one process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,8 +8,7 @@ reproducible from the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,27 +30,29 @@ class EvolveError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class GaConfig:
-    population: int
-    iterations: int
-    mutation_rate: float = 0.005
-    seed: int = 0
-    crossover: str = "uniform"  # or "one_point"
+    __slots__ = ("population", "iterations", "mutation_rate", "seed", "crossover")
 
-    def __post_init__(self):
-        if self.population < 4 or self.population % 2 != 0:
+    def __init__(self, population: int, iterations: int,
+                 mutation_rate: float = 0.005, seed: int = 0,
+                 crossover: str = "uniform"):  # or "one_point"
+        if population < 4 or population % 2 != 0:
             raise ValueError(f"population must be an even integer >= 4, "
-                             f"got {self.population}")
-        if self.iterations < 1:
+                             f"got {population}")
+        if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 <= self.mutation_rate <= 1.0:
+        if not 0.0 <= mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], "
-                             f"got {self.mutation_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.crossover not in ("uniform", "one_point"):
-            raise ValueError(f"unknown crossover operator {self.crossover!r}")
+                             f"got {mutation_rate}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if crossover not in ("uniform", "one_point"):
+            raise ValueError(f"unknown crossover operator {crossover!r}")
+        self.population = population
+        self.iterations = iterations
+        self.mutation_rate = mutation_rate
+        self.seed = seed
+        self.crossover = crossover
 
 
 def fast_nondominated_sort(objectives: Sequence[Sequence[float]],
@@ -115,8 +116,7 @@ def crowding_distance(front: Sequence[Sequence[float]]) -> list[float]:
     return dist
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
+class ArchiveEntry(NamedTuple):
     genes: tuple[int, ...]
     objectives: tuple[float, float, float]
 
@@ -140,17 +140,18 @@ def pareto_archive(genes_list, objectives) -> tuple[ArchiveEntry, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(NamedTuple):
     generation: int
     front_size: int
     best: tuple[float, float, float]  # per-objective minimum in the population
 
 
-@dataclass
 class EvolveResult:
-    archive: tuple[ArchiveEntry, ...]
-    trace: list[GenerationStats] = field(default_factory=list)
+    __slots__ = ("archive", "trace")
+
+    def __init__(self, archive: tuple[ArchiveEntry, ...], trace: list[GenerationStats]):
+        self.archive = archive
+        self.trace = trace
 
 
 class _Stream:

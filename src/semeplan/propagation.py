@@ -13,16 +13,15 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .csvfile import replaced_atomically, write_grid_csv
 from .geometry import count_blocking_footprints
 from .scenario import (BtsSector, CandidateSite, GridSpec, Scenario, SeeType,
-                       _finite, _parse_grid)
+                       _finite, _parse_grid, grid_to_dict)
 from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
 
 if TYPE_CHECKING:  # siteplanner imports this module
@@ -82,8 +81,7 @@ def _pencil_gain_dbi(boresight: np.ndarray, max_gain_dbi: float,
 # Spherical-wave sources
 
 
-@dataclass(frozen=True)
-class _Source:
+class _Source(NamedTuple):
     power_w: float             # power fed into the pattern
     gain_dbi: Callable[[np.ndarray], np.ndarray]  # directions (M, 3) -> dBi (M,)
     extra_path_m: float = 0.0  # pre-travelled path, adds phase only
@@ -249,16 +247,18 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
 # Map database
 
 
-@dataclass(eq=False)
 class MapDatabase:
     """Reference and per-(site, kind) entry fields, each (T, 3, ny, nx)
     complex128, plus the header (`database_header`) saved with them.
 
     Entry keys are (site index 0-based, catalog gene value 1-based).
     """
-    reference: np.ndarray
-    entries: dict[tuple[int, int], np.ndarray]
-    header: dict
+    __slots__ = ("reference", "entries", "header")
+
+    def __init__(self, reference: np.ndarray, entries: Mapping, header: dict):
+        self.reference = reference
+        self.entries = entries
+        self.header = header
 
     @property
     def grid(self) -> GridSpec:
@@ -282,11 +282,9 @@ def database_header(scenario: Scenario, mode: str, params: Mapping[str, float],
     """The header of a database of `scenario` built with `mode` and the
     options `params`, holding the (site, gene value) entries `keys` and
     embedding the site plan `plan` for the later stages."""
-    grid = scenario.grid
     return {"metadata": {"scenario_hash": scenario.content_hash(), "mode": mode,
                          "params": {k: float(v) for k, v in params.items()}},
-            "grid": {"origin": list(grid.origin), "spacing_m": grid.spacing,
-                     "nx": grid.nx, "ny": grid.ny, "height_m": grid.height},
+            "grid": grid_to_dict(scenario.grid),
             "wavelength_m": scenario.wavelength,
             "time_instants": scenario.time_instants,
             "entries": sorted([int(n), int(s)] for n, s in keys),

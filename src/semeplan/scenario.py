@@ -11,8 +11,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,13 @@ def _count(value, what: str) -> int:
     return int(number)
 
 
+def _known(raw: Mapping, keys: tuple[str, ...], what: str) -> None:
+    """A ScenarioError naming the first key of `raw` outside `keys`."""
+    for key in raw.keys():
+        if key not in keys:
+            raise ScenarioError(f"{what}: unknown key {key!r}")
+
+
 def _point(values, dims: int, what: str) -> tuple[float, ...]:
     coords = values if isinstance(values, (list, tuple)) else ()
     if len(coords) != dims:
@@ -61,8 +67,7 @@ def _point(values, dims: int, what: str) -> tuple[float, ...]:
     return tuple(_finite(c, what) for c in coords)
 
 
-@dataclass(frozen=True)
-class Building:
+class Building(NamedTuple):
     footprint: tuple[Point2, ...]
     height: float
 
@@ -70,8 +75,7 @@ class Building:
         return np.asarray(self.footprint, dtype=float)
 
 
-@dataclass(frozen=True)
-class BtsSector:
+class BtsSector(NamedTuple):
     azimuth_deg: float
     downtilt_deg: float
     tx_power_w: float
@@ -80,8 +84,7 @@ class BtsSector:
     el_beamwidth_deg: float = 10.0
 
 
-@dataclass(frozen=True)
-class Bts:
+class Bts(NamedTuple):
     position: Point3
     frequency_hz: float
     sectors: tuple[tuple[BtsSector, ...], ...]  # indexed [time instant][sector]
@@ -103,8 +106,7 @@ class Bts:
         return max(s.tx_power_w for group in self.sectors for s in group)
 
 
-@dataclass(frozen=True)
-class SeeType:
+class SeeType(NamedTuple):
     """One deployable device class from the catalog.
 
     Passive kinds (SP-EMS, RP-EMS) redirect the incident wave and carry an
@@ -129,8 +131,7 @@ class SeeType:
         return self.kind in PASSIVE_KINDS
 
 
-@dataclass(frozen=True)
-class CandidateSite:
+class CandidateSite(NamedTuple):
     position: Point3
     mount: str  # "facade" or "pole"
     normal: Point3 | None = None  # outward wall normal, facade only
@@ -138,8 +139,7 @@ class CandidateSite:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     origin: Point2
     spacing: float
     nx: int
@@ -171,8 +171,7 @@ class GridSpec:
                 self.origin[1] + (self.ny - 1) * self.spacing)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     grid: GridSpec
     bts: Bts
     buildings: tuple[Building, ...]
@@ -212,6 +211,9 @@ class Scenario:
 
 def _parse_building(raw: Mapping, idx: int) -> Building:
     what = f"building {idx}"
+    # permittivity and conductivity_s_per_m: retired material keys, ignored
+    _known(raw, ("footprint", "height_m", "permittivity", "conductivity_s_per_m"),
+           what)
     verts = raw.get("footprint")
     if not verts:
         raise ScenarioError(f"{what}: missing footprint")
@@ -230,6 +232,7 @@ def _parse_building(raw: Mapping, idx: int) -> Building:
 
 def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
     what = f"bts sector {v} at instant {t}"
+    _known(raw, BtsSector._fields, what)
 
     def number(name, default=None):
         return _finite(raw[name] if default is None else raw.get(name, default),
@@ -257,6 +260,7 @@ def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
 def _parse_bts(raw: Mapping, frequency_hz: float) -> Bts:
     if frequency_hz <= 0:
         raise ScenarioError(f"frequency_hz must be > 0, got {frequency_hz}")
+    _known(raw, ("position", "time_instants"), "bts")
     position = _point(raw.get("position"), 3, "bts position")
     if position[2] <= 0:
         raise ScenarioError(f"bts position: height must be > 0, got {position[2]}")
@@ -265,6 +269,7 @@ def _parse_bts(raw: Mapping, frequency_hz: float) -> Bts:
         raise ScenarioError("bts: needs at least one time instant")
     groups = []
     for t, entry in enumerate(instants, start=1):
+        _known(entry, ("sectors",), f"bts instant {t}")
         sectors = entry.get("sectors")
         if not sectors:
             raise ScenarioError(f"bts instant {t}: needs at least one sector")
@@ -280,6 +285,7 @@ def _parse_bts(raw: Mapping, frequency_hz: float) -> Bts:
 
 def _parse_see(raw: Mapping, idx: int) -> SeeType:
     what = f"catalog entry {idx}"
+    _known(raw, SeeType._fields, what)
     kind = raw.get("kind")
     if kind not in KNOWN_KINDS:
         raise ScenarioError(f"{what}: unknown kind {kind!r}, expected one of {KNOWN_KINDS}")
@@ -309,6 +315,7 @@ def _parse_see(raw: Mapping, idx: int) -> SeeType:
 
 def _parse_site(raw: Mapping, idx: int, grid: GridSpec) -> CandidateSite:
     what = f"site {idx}"
+    _known(raw, CandidateSite._fields, what)
     position = _point(raw.get("position"), 3, what)
     mount = raw.get("mount")
     if mount not in ("facade", "pole"):
@@ -341,6 +348,7 @@ def _parse_site(raw: Mapping, idx: int, grid: GridSpec) -> CandidateSite:
 
 
 def _parse_grid(raw: Mapping) -> GridSpec:
+    _known(raw, ("origin", "spacing_m", "nx", "ny", "height_m"), "grid")
     try:
         grid = GridSpec(
             origin=_point(raw.get("origin", (0.0, 0.0)), 2, "grid origin"),
@@ -361,6 +369,8 @@ def _parse_grid(raw: Mapping) -> GridSpec:
 def scenario_from_dict(raw: Mapping[str, Any]) -> Scenario:
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
+    _known(raw, ("frequency_hz", "grid", "bts", "buildings", "catalog", "sites"),
+           "scenario")
     for key in ("frequency_hz", "grid", "bts"):
         if key not in raw:
             raise ScenarioError(f"scenario: missing top-level key {key!r}")
@@ -398,21 +408,20 @@ def _drop_none(d: dict) -> dict:
     return {k: v for k, v in d.items() if v is not None}
 
 
+def grid_to_dict(grid: GridSpec) -> dict:
+    """The `grid` section of a scenario document, also a database header's."""
+    return {"origin": list(grid.origin), "spacing_m": grid.spacing,
+            "nx": grid.nx, "ny": grid.ny, "height_m": grid.height}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    grid = scenario.grid
     return {
         "frequency_hz": scenario.bts.frequency_hz,
-        "grid": {
-            "origin": list(grid.origin),
-            "spacing_m": grid.spacing,
-            "nx": grid.nx,
-            "ny": grid.ny,
-            "height_m": grid.height,
-        },
+        "grid": grid_to_dict(scenario.grid),
         "bts": {
             "position": list(scenario.bts.position),
             "time_instants": [
-                {"sectors": [asdict(s) for s in group]}
+                {"sectors": [s._asdict() for s in group]}
                 for group in scenario.bts.sectors
             ],
         },
@@ -423,7 +432,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
             for b in scenario.buildings
         ],
-        "catalog": [_drop_none(asdict(entry)) for entry in scenario.catalog],
+        "catalog": [_drop_none(entry._asdict()) for entry in scenario.catalog],
         "sites": [
             _drop_none({
                 "position": list(s.position),

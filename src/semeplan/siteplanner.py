@@ -9,8 +9,7 @@ region, and must clear their sensitivity threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .scenario import CandidateSite, GridSpec, Scenario, SeeType
 from .units import dbm_to_watts
 
 
-@dataclass(frozen=True)
-class Roi:
+class Roi(NamedTuple):
     """One region of interest tracked across time instants.
 
     `cells` holds the (iy, ix) grid cells per instant; an empty tuple
@@ -237,8 +235,7 @@ def ase_site_verdict(kind: SeeType, inside: bool,
 # Qualification
 
 
-@dataclass(frozen=True)
-class FeasibilityRow:
+class FeasibilityRow(NamedTuple):
     site: int        # 0-based site index
     roi: int         # 1-based region index
     kind_class: str  # "EMS" or "ASE"
@@ -246,8 +243,7 @@ class FeasibilityRow:
     reason: str      # empty when feasible
 
 
-@dataclass(frozen=True)
-class SitePlan:
+class SitePlan(NamedTuple):
     """Feasible gene values per site and the region each pair serves.
 
     `assignments[n]` lists (gene value, roi index) pairs, sorted by gene

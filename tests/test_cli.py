@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -243,9 +244,9 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
-    path, value = MALFORMED[case]
+def sites_on_demo_with(tmp_path, path, value) -> int:
+    """Exit code of `sites` into `tmp_path/out` on the demo document with the
+    leaf at `path`, a list of keys and indices, set to `value`."""
     doc = demo_scenario()
     node = doc
     for key in path[:-1]:
@@ -253,9 +254,37 @@ def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
     node[path[-1]] = value
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
-    assert main(["sites", "--scenario", str(scenario),
-                 "--out", str(tmp_path / "out")]) == 2
+    return main(["sites", "--scenario", str(scenario),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_value_is_config_error(tmp_path, case, capsys):
+    assert sites_on_demo_with(tmp_path, *MALFORMED[case]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# A misspelt key in each section of the demo document, by the section's name
+# in the error message.
+TYPOS = {
+    "scenario": ["frequency"],
+    "grid": ["grid", "spacing"],
+    "bts": ["bts", "positon"],
+    "bts instant 1": ["bts", "time_instants", 0, "sector"],
+    "bts sector 1 at instant 1": ["bts", "time_instants", 0, "sectors", 0,
+                                  "az_beamwidth"],
+    "building 0": ["buildings", 0, "height"],
+    "catalog entry 0": ["catalog", 0, "cost"],
+    "site 0": ["sites", 0, "normals"],
+}
+
+
+@pytest.mark.parametrize("section", sorted(TYPOS))
+def test_unknown_scenario_key_is_config_error(tmp_path, section, capsys):
+    path = TYPOS[section]
+    assert sites_on_demo_with(tmp_path, path, 60) == 2
+    assert f"error: {section}: unknown key {path[-1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _drop_plan(header):
@@ -713,11 +742,67 @@ def test_every_csv_cell_is_a_plain_number(workspace):
                     float(cell)  # raises on np.float64(...) and other reprs
 
 
-def test_cli_starts_without_scipy():
-    # scipy is a test dependency only; importing it costs every stage ~0.4 s.
+def python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """This interpreter run on `args` in a child process that imports the
+    semeplan under test, with stdout block-buffered so a lost flush shows."""
     src = os.path.dirname(os.path.dirname(semeplan.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", "import semeplan.cli, sys; "
-                    "assert 'scipy' not in sys.modules"],
-                   env=env, check=True, timeout=120)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def test_cli_starts_without_scipy():
+    # scipy is a test dependency only; importing it costs every stage ~0.4 s.
+    python("-c", "import semeplan.cli, sys; assert 'scipy' not in sys.modules",
+           check=True)
+
+
+def test_cli_starts_without_dataclasses():
+    # Building a @dataclass at import costs every stage about 0.7 ms.
+    python("-c", "import semeplan.cli, sys; "
+           "assert 'dataclasses' not in sys.modules", check=True)
+
+
+def test_process_entry_writes_the_bytes_of_main(workspace, tmp_path, capsys):
+    # `python -m semeplan.cli` goes through cli.run, which freezes the
+    # collector before the process exits; main() in this process never does.
+    scenario, out, base = workspace
+
+    def into(directory):
+        return [str(directory) if arg == str(out) else arg for arg in base]
+
+    child_out = tmp_path / "child"
+    frozen = gc.get_freeze_count()
+    for stage in (["sites"], ["dbgen"], ["optimize"] + FAST_GA, ["report"]):
+        assert main(stage + base) == 0
+        assert gc.get_freeze_count() == frozen
+        summary = capsys.readouterr().out.replace(str(out), str(child_out))
+        child = python("-m", "semeplan.cli", *stage, *into(child_out),
+                       capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == summary
+        assert child.stdout.startswith(f"{stage[0]}: ") \
+            and child.stdout.count("\n") == 1 and child.stdout.endswith("\n")
+    names = sorted(path.name for path in out.iterdir())
+    assert sorted(path.name for path in child_out.iterdir()) == names
+    assert {"mapdb.bin", "archive.csv", "reduction.csv"} <= set(names)
+    for name in names:
+        assert (child_out / name).read_bytes() == (out / name).read_bytes(), name
+
+    # The exit codes come back through the entry function unchanged.
+    malformed = tmp_path / "malformed.json"
+    doc = coverable_toy()
+    doc["grid"]["nx"] = "abc"
+    malformed.write_text(json.dumps(doc))
+    empty = tmp_path / "empty.csv"
+    empty.write_text(archive_headers(scenario, base) +
+                     "coverage_deficit,cost_fraction,energy_fraction,genes\n")
+    cases = [(2, ["sites", "--scenario", str(malformed),
+                  "--out", str(tmp_path / "o2")]),
+             (3, ["optimize"] + into(tmp_path / "o3") + FAST_GA),
+             (4, ["report"] + into(child_out) + ["--archive", str(empty)])]
+    for code, argv in cases:
+        child = python("-m", "semeplan.cli", *argv, capture_output=True, text=True)
+        assert child.returncode == code, child.stderr
+        assert child.stderr.startswith(("error: ", "report: ")), child.stderr

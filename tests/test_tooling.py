@@ -1,6 +1,7 @@
 """The scripts and the benchmark driver start, and every name they import
 from `semeplan` exists, so moving a name they use fails here first."""
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -13,13 +14,32 @@ TOOLS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 ENTRY_POINTS = sorted(ROOT.glob("scripts/*.py")) + [ROOT / "perfbench" / "run.py"]
 
 
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("script", ENTRY_POINTS,
                          ids=lambda path: str(path.relative_to(ROOT)))
 def test_help_exits_zero(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, str(script), "--help"], env=env, check=True,
+    subprocess.run([sys.executable, str(script), "--help"], env=_env(), check=True,
                    capture_output=True, timeout=120)
+
+
+def test_console_script_target_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert list(scripts) == ["semeplan"]
+    for name, target in scripts.items():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
+        # As the installed script calls it, in a child process: the target
+        # freezes the collector before it exits.
+        subprocess.run([sys.executable, "-c",
+                        f"import sys; from {module} import {attr}; "
+                        f"sys.argv = [{name!r}, '--help']; sys.exit({attr}())"],
+                       env=_env(), check=True, capture_output=True, timeout=120)
 
 
 @pytest.mark.parametrize("tool", TOOLS, ids=lambda path: str(path.relative_to(ROOT)))
