@@ -53,18 +53,19 @@ def _headers(scenario_hash: str, args: argparse.Namespace) -> list[str]:
 
 def _prepare(args: argparse.Namespace, scenario: Scenario):
     """Reference field, regions, feasibility report, site plan and the BTS
-    power at every site for the options."""
-    reference = propagation.reference_field(scenario,
-                                            wall_loss_db=args.wall_loss_db)
+    power at every site for the options.
+
+    The reference is rounded to the complex64 that `mapdb.bin` stores, so
+    every stage derives the same blind spot and regions from it."""
+    reference = propagation.reference_field(scenario, wall_loss_db=args.wall_loss_db)
+    reference = reference.astype(np.complex64).astype(np.complex128)
     _, blindspot = analysis.reference_blindspot(
         reference, scenario.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
     incident = propagation.point_power_dbm(
         scenario, [site.position for site in scenario.sites],
         wall_loss_db=args.wall_loss_db)
-    report, plan = siteplanner.qualify_sites(scenario, rois, args.pth_dbm,
-                                             wall_loss_db=args.wall_loss_db,
-                                             incident_dbm=incident)
+    report, plan = siteplanner.qualify_sites(scenario, rois, args.pth_dbm, incident)
     return reference, rois, report, plan, incident
 
 
@@ -115,7 +116,6 @@ def cmd_sites(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     _, rois, report, plan, _ = _prepare(args, scenario)
     headers = _headers(scenario.content_hash(), args)
-    os.makedirs(args.out, exist_ok=True)
     siteplanner.write_feasibility_csv(
         report, os.path.join(args.out, "feasibility.csv"), headers)
     with replaced_atomically(os.path.join(args.out, "siteplan.json")) as fh:
@@ -149,7 +149,6 @@ def cmd_dbgen(args: argparse.Namespace) -> int:
         except StaleCacheError:
             pass
     reference, rois, _, plan, incident = _prepare(args, scenario)
-    os.makedirs(args.out, exist_ok=True)
     # Each site's fields are computed as the save reaches its entries
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
@@ -179,7 +178,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan,
         normalized=args.coverage_units == "normalized")
     headers = _headers(scenario.content_hash(), args)
-    os.makedirs(args.out, exist_ok=True)
     summary_rows = []
     memo: dict = {}  # one evaluator, so restarts share its scores
     for ga in gas:
@@ -220,8 +218,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     db, _ = _current_db(args, scenario)
     archive_path = args.archive or os.path.join(args.out, "archive.csv")
-    if not os.path.exists(archive_path):
-        raise StaleCacheError(f"archive {archive_path} is missing; "
+    if not os.path.isfile(archive_path):
+        raise StaleCacheError(f"archive {archive_path} is missing or not a file; "
                               "run optimize first")
     headers = _headers(scenario.content_hash(), args)
     try:
@@ -243,7 +241,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ref_power, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
-    os.makedirs(args.out, exist_ok=True)
 
     representatives = analysis.select_representatives(archive)
     analysis.write_solution_table(
@@ -280,14 +277,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
-def _number(kind, minimum=None):
-    """An argparse type: a finite `kind` number, at least `minimum` if given."""
+def _number(kind, minimum=None, nonzero=False):
+    """An argparse type: a finite `kind` number, at least `minimum` if given,
+    and not 0 if `nonzero`."""
     def parse(text: str):
         value = kind(text)
         if not math.isfinite(value) or (minimum is not None and value < minimum):
             bound = "" if minimum is None else f" >= {minimum}"
             raise argparse.ArgumentTypeError(
                 f"expected a finite number{bound}, got {text}")
+        if nonzero and value == 0:
+            raise argparse.ArgumentTypeError(f"expected a nonzero number, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse reports "invalid <name> value"
     return parse
@@ -296,7 +296,8 @@ def _number(kind, minimum=None):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--pth-dbm", type=_number(float), default=-65.0,
+    # Not 0: the coverage deficit is the shortfall divided by |pth-dbm|
+    parser.add_argument("--pth-dbm", type=_number(float, nonzero=True), default=-65.0,
                         help="coverage power threshold (default -65)")
     parser.add_argument("--mode", choices=propagation.COMBINING_MODES,
                         default="coherent", help="field combining mode")
@@ -393,6 +394,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    if os.path.lexists(args.out) and not os.path.isdir(args.out):
+        print(f"error: --out {args.out} exists and is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         with _OutDirLock(args.out):
             if args.command == "sites":

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,10 +22,8 @@ from .csvfile import replaced_atomically, write_grid_csv
 from .geometry import count_blocking_footprints
 from .scenario import (BtsSector, CandidateSite, GridSpec, Scenario, SeeType,
                        _finite, _parse_grid, grid_to_dict)
+from .siteplanner import SitePlan
 from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
-
-if TYPE_CHECKING:  # siteplanner imports this module
-    from .siteplanner import SitePlan
 
 DEFAULT_WALL_LOSS_DB = 20.0
 BACKLOBE_FLOOR_DB = 30.0
@@ -321,11 +319,10 @@ class _StreamedEntries(Mapping):
 
 def build_database(scenario: Scenario, reference: np.ndarray,
                    assignments: Mapping[tuple[int, int], Sequence],
-                   *, mode: str = "coherent",
+                   *, incident_dbm: np.ndarray, mode: str = "coherent",
                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
                    plan: SitePlan | None = None,
-                   incident_dbm: np.ndarray | None = None,
                    streamed: bool = False) -> MapDatabase:
     """Bundle the reference field with every assigned device contribution.
 
@@ -334,8 +331,7 @@ def build_database(scenario: Scenario, reference: np.ndarray,
     points for that pair, as produced by the site planner.
     `incident_dbm` is the BTS power at every scenario site, (T, n_sites)
     in dBm, as `point_power_dbm` gives it for `scenario.sites` at the same
-    wall loss; one such call computes it when it is not given.  Each site
-    radiates all of its kinds in one `_site_fields` call.
+    wall loss.  Each site radiates all of its kinds in one `_site_fields` call.
 
     With `streamed`, the entries are computed when they are read, one
     site at a time, and only the last site's are kept: `save_database`
@@ -346,9 +342,6 @@ def build_database(scenario: Scenario, reference: np.ndarray,
     grid = scenario.grid
     if reference.shape != (scenario.time_instants, 3, grid.ny, grid.nx):
         raise ValueError("reference field does not match the scenario")
-    if incident_dbm is None:
-        incident_dbm = point_power_dbm(scenario, [site.position for site in scenario.sites],
-                                       wall_loss_db=wall_loss_db)
     keys = sorted(assignments)
 
     def radiate(n: int) -> dict:
@@ -483,23 +476,16 @@ def load_database(path) -> MapDatabase:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DatabaseError(f"{path} has a malformed header: {exc!r}")
     offset += header_len
-    count = math.prod(shape)
-    expected = offset + (1 + len(keys)) * count * np.dtype("<c8").itemsize
+    expected = offset + (1 + len(keys)) * math.prod(shape) * np.dtype("<c8").itemsize
     if len(blob) != expected:
         raise DatabaseError(f"{path} is {len(blob)} bytes, its header "
                             f"describes {expected}")
-
-    def read_grid():
-        nonlocal offset
-        raw = np.frombuffer(blob, dtype="<c8", count=count, offset=offset)
-        if not np.isfinite(raw).all():
-            raise DatabaseError(f"{path} holds a non-finite field value")
-        offset += raw.nbytes
-        return raw.reshape(shape).astype(np.complex128)
-
-    reference = read_grid()
-    entries = {key: read_grid() for key in keys}
-    return MapDatabase(reference=reference, entries=entries, header=header)
+    grids = np.frombuffer(blob, dtype="<c8", offset=offset).reshape(1 + len(keys), *shape)
+    if not all(np.isfinite(grid).all() for grid in grids):
+        raise DatabaseError(f"{path} holds a non-finite field value")
+    grids = grids.astype(np.complex128)
+    return MapDatabase(reference=grids[0], entries=dict(zip(keys, grids[1:])),
+                       header=header)
 
 
 def export_power_csv(grid: GridSpec, power_dbm: np.ndarray, path,

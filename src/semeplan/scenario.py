@@ -258,8 +258,9 @@ def _parse_sector(raw: Mapping, t: int, v: int) -> BtsSector:
 
 
 def _parse_bts(raw: Mapping, frequency_hz: float) -> Bts:
-    if frequency_hz <= 0:
-        raise ScenarioError(f"frequency_hz must be > 0, got {frequency_hz}")
+    if frequency_hz <= 0 or not math.isfinite(SPEED_OF_LIGHT / frequency_hz):
+        raise ScenarioError(f"frequency_hz must be > 0 with a finite wavelength, "
+                            f"got {frequency_hz}")
     _known(raw, ("position", "time_instants"), "bts")
     position = _point(raw.get("position"), 3, "bts position")
     if position[2] <= 0:

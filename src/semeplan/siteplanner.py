@@ -13,7 +13,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import propagation
 from .csvfile import write_csv, write_grid_csv
 from .scenario import CandidateSite, GridSpec, Scenario, SeeType
 from .units import dbm_to_watts
@@ -278,8 +277,7 @@ class SitePlan(NamedTuple):
 
 
 def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
-                  *, wall_loss_db: float = propagation.DEFAULT_WALL_LOSS_DB,
-                  incident_dbm: np.ndarray | None = None
+                  incident_dbm: np.ndarray
                   ) -> tuple[tuple[FeasibilityRow, ...], SitePlan]:
     """Evaluate every (site, region, class) triple and build the site plan.
 
@@ -287,14 +285,11 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
     operator allows there; the plan intersects location feasibility with
     each site's admissible kinds and aims every retained (site, kind) at
     its nearest feasible region.  `incident_dbm` is the BTS power at every
-    site, (T, n_sites) in dBm, as `point_power_dbm` gives it at the same
-    wall loss; one such call computes it when it is not given.
+    site, (T, n_sites) in dBm, as `propagation.point_power_dbm` gives it.
     """
     active_kinds = [(s, k) for s, k in enumerate(scenario.catalog, start=1)
                     if k.is_active]
     positions = np.asarray([s.position for s in scenario.sites], float).reshape(-1, 3)
-    incident = incident_dbm if incident_dbm is not None else propagation.point_power_dbm(
-        scenario, positions, wall_loss_db=wall_loss_db)
     # Region membership of every site at once, per region and per kind
     ems_inside = {roi.index: ems_region(scenario, roi, pth_dbm)(positions).tolist()
                   for roi in rois}
@@ -305,7 +300,7 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
     ems_ok: dict[tuple[int, int], bool] = {}
     ase_ok: dict[tuple[int, int, int], bool] = {}
     for n, site in enumerate(scenario.sites):
-        site_incident = incident[:, n]
+        site_incident = incident_dbm[:, n]
         for roi in rois:
             reason = ems_site_verdict(scenario, site, roi, ems_inside[roi.index][n],
                                       site_incident, pth_dbm)

@@ -6,6 +6,7 @@ from semeplan.objectives import Evaluator
 from semeplan.propagation import build_database, reference_field
 from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import build_rois, qualify_sites
+from dbtools import site_powers
 from toys import coverable_toy
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -21,9 +22,11 @@ def coverable():
     reference = reference_field(scenario)
     power, blindspot = reference_blindspot(reference, scenario.wavelength, PTH_DBM)
     rois = build_rois(blindspot.components, scenario.grid)
-    report, plan = qualify_sites(scenario, rois, PTH_DBM)
+    incident = site_powers(scenario)
+    report, plan = qualify_sites(scenario, rois, PTH_DBM, incident)
     assignments = plan.db_assignments(rois, scenario.grid.height)
-    dbs = {mode: build_database(scenario, reference, assignments, mode=mode)
+    dbs = {mode: build_database(scenario, reference, assignments,
+                                incident_dbm=incident, mode=mode)
            for mode in ("coherent", "incoherent")}
     return {
         "scenario": scenario,

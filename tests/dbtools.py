@@ -15,6 +15,13 @@ def field_from_dbm(dbm, wavelength):
     return np.sqrt(watts * 8.0 * np.pi * FREE_SPACE_IMPEDANCE) / wavelength
 
 
+def site_powers(scenario, wall_loss_db=DEFAULT_WALL_LOSS_DB) -> np.ndarray:
+    """The base station's power at every site, (T, n_sites) in dBm: what
+    `qualify_sites` and `build_database` take as `incident_dbm`."""
+    return point_power_dbm(scenario, [site.position for site in scenario.sites],
+                           wall_loss_db=wall_loss_db)
+
+
 def see_contribution(scenario, site, kind, roi_targets, *,
                      wall_loss_db=DEFAULT_WALL_LOSS_DB) -> np.ndarray:
     """Field radiated by one device at one site, one slab per time instant:

@@ -22,7 +22,7 @@ from semeplan.siteplanner import (SitePlan, ase_radii, ase_region, ems_region,
                                   build_rois)
 from semeplan.synthetic import DEFAULT_CATALOG, write_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE
-from dbtools import see_contribution
+from dbtools import see_contribution, site_powers
 from nsga2_oracle import dominates
 from objectives_oracle import coverage_deficit, fractions
 from toys import benchmark_problem, coverable_toy, pareto_toy
@@ -236,7 +236,8 @@ def test_c06_superposition_equivalence():
                                     scenario.catalog[s - 1], targets[(n, s)])
               for key in targets for n, s in [key]}
     for mode in ("coherent", "incoherent"):
-        db = build_database(scenario, ref, targets, mode=mode)
+        db = build_database(scenario, ref, targets,
+                            incident_dbm=site_powers(scenario), mode=mode)
         for t in range(2):
             via_db = power_map_watts(db, genes, t)
             if mode == "coherent":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semeplan
-from semeplan import cli, propagation
+from semeplan import analysis, cli, propagation, siteplanner
 from semeplan.cli import build_parser, main
 from semeplan.scenario import load_scenario
 from semeplan.synthetic import demo_scenario, write_scenario
@@ -152,6 +152,24 @@ def test_sites_and_forced_dbgen_compute_the_site_power_once_per_stage(
         assert incident_dbm.tobytes() == column.tobytes()
 
 
+def test_every_stage_derives_the_regions_of_the_stored_reference(tmp_path):
+    # At this threshold a demo cell lies within the complex64 rounding of
+    # its power: sites and dbgen must find the regions that optimize and
+    # report rebuild from the reference stored in mapdb.bin.
+    scenario = tmp_path / "demo.json"
+    write_scenario(demo_scenario(), scenario)
+    pth = -61.43935612440987
+    base = ["--scenario", str(scenario), "--out", str(tmp_path / "run"),
+            "--mode", "incoherent", "--wall-loss-db", "30", "--roi-min-cells", "1",
+            "--pth-dbm", repr(pth)]
+    assert main(["dbgen"] + base) == 0
+    sc = load_scenario(scenario)
+    _, rois, _, _, _ = cli._prepare(build_parser().parse_args(["sites"] + base), sc)
+    db = propagation.load_database(tmp_path / "run" / "mapdb.bin")
+    _, blindspot = analysis.reference_blindspot(db.reference, db.wavelength, pth, 1)
+    assert rois == siteplanner.build_rois(blindspot.components, sc.grid)
+
+
 @pytest.mark.parametrize("fault", ["raises", "nan", "inf"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_failed_streamed_dbgen_keeps_the_previous_database(workspace, monkeypatch,
@@ -195,17 +213,18 @@ def test_streamed_dbgen_writes_the_bytes_of_the_built_database(tmp_path, documen
                                                                options):
     # dbgen streams each site's fields into the file with the site power of
     # its site qualification; a library caller builds every entry in memory
-    # and computes that power itself.  The one writer gives equal bytes.
+    # with the same powers.  The one writer gives equal bytes.
     scenario = tmp_path / "scenario.json"
     write_scenario(document(), scenario)
     base = ["--scenario", str(scenario), "--out", str(tmp_path / "run")] + options
     assert main(["dbgen", "--force"] + base) == 0
     args = build_parser().parse_args(["dbgen"] + base)
     sc = load_scenario(scenario)
-    reference, rois, _, plan, _ = cli._prepare(args, sc)
+    reference, rois, _, plan, incident = cli._prepare(args, sc)
     db = propagation.build_database(
         sc, reference, plan.db_assignments(rois, sc.grid.height), mode=args.mode,
-        wall_loss_db=args.wall_loss_db, params=cli._db_params(args), plan=plan)
+        wall_loss_db=args.wall_loss_db, params=cli._db_params(args), plan=plan,
+        incident_dbm=incident)
     assert type(db.entries) is dict and len(db.entries) > 0
     propagation.save_database(db, tmp_path / "built.bin")
     assert (tmp_path / "built.bin").read_bytes() == \
@@ -424,6 +443,34 @@ def test_non_finite_computed_field_fails_and_writes_no_database(tmp_path):
     assert main(["sites"] + base) == 4
     assert main(["dbgen"] + base) == 4
     assert not (tmp_path / "run" / "mapdb.bin").exists()
+
+
+@pytest.mark.parametrize("stage", ["sites", "dbgen", "optimize", "report"])
+def test_infinite_wavelength_is_a_config_error(tmp_path, stage, capsys):
+    # 299792458 / 1e-300 overflows: no stage may write a header holding it.
+    doc = coverable_toy()
+    doc["frequency_hz"] = 1e-300
+    scenario = tmp_path / "scenario.json"
+    write_scenario(doc, scenario)
+    out = tmp_path / "run"
+    assert main([stage, "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert "frequency_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_a_config_error(workspace, capsys):
+    _, out, base = workspace
+    out.write_text("not a directory")
+    assert main(["sites"] + base) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
+def test_report_archive_naming_a_directory_is_stale(workspace, tmp_path):
+    _, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["report"] + base + ["--archive", str(tmp_path)]) == 3
+    assert not (out / "solutions.csv").exists()
 
 
 def test_report_refuses_an_archive_written_with_other_options(workspace):
@@ -670,6 +717,11 @@ OUT_OF_RANGE = {
     "seed_negative": ["optimize", "--seed", "-1"],
     "pth_nan": ["sites", "--pth-dbm", "nan"],
     "pth_inf": ["sites", "--pth-dbm", "inf"],
+    # The coverage deficit divides by |pth-dbm|
+    "pth_zero_sites": ["sites", "--pth-dbm", "0"],
+    "pth_zero_dbgen": ["dbgen", "--pth-dbm", "-0.0"],
+    "pth_zero_optimize": ["optimize", "--pth-dbm", "0"],
+    "pth_zero_report": ["report", "--pth-dbm", "-0.0"],
     "wall_loss_nan": ["sites", "--wall-loss-db", "nan"],
     "wall_loss_negative": ["sites", "--wall-loss-db", "-5"],
     "roi_min_cells_negative": ["sites", "--roi-min-cells", "-3"],

@@ -13,7 +13,7 @@ from semeplan.propagation import (MapDatabase, fields_to_power_watts,
                                   reference_field,
                                   point_power_dbm, save_database,
                                   _sector_gain_dbi)
-from dbtools import see_contribution
+from dbtools import see_contribution, site_powers
 from semeplan.scenario import BtsSector, scenario_from_dict
 from semeplan.synthetic import demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE, watts_to_dbm
@@ -100,7 +100,8 @@ def test_reference_field_finite_and_shaped():
 
 
 def _db_for(sc, assignments, mode="coherent"):
-    return build_database(sc, reference_field(sc), assignments, mode=mode)
+    return build_database(sc, reference_field(sc), assignments,
+                          incident_dbm=site_powers(sc), mode=mode)
 
 
 def _targets(sc, point):
@@ -384,7 +385,7 @@ def test_build_counts_each_entry_sites_walls_once(monkeypatch):
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
     reference = reference_field(sc)
-    incident = point_power_dbm(sc, [site.position for site in sc.sites])
+    incident = site_powers(sc)
     calls = []
 
     def counting(origin, targets, footprints):
@@ -423,7 +424,7 @@ def test_build_radiates_each_entry_site_once(monkeypatch):
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
     reference = reference_field(sc)
-    incident = point_power_dbm(sc, [site.position for site in sc.sites])
+    incident = site_powers(sc)
     calls = _count_radiate_calls(monkeypatch)
     build_database(sc, reference, assignments, incident_dbm=incident)
     sites = sorted({n for n, _ in assignments})
@@ -437,15 +438,17 @@ def test_streamed_build_radiates_each_site_when_its_first_entry_is_read(monkeypa
     # every site radiates once, into the in-memory build's values.
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
-    db = build_database(sc, reference_field(sc), assignments)
+    incident = site_powers(sc)
+    db = build_database(sc, reference_field(sc), assignments, incident_dbm=incident)
     calls = _count_radiate_calls(monkeypatch)
-    streamed = build_database(sc, db.reference, assignments, streamed=True)
-    assert len(calls) == 1  # the base station's power at the sites
+    streamed = build_database(sc, db.reference, assignments, incident_dbm=incident,
+                              streamed=True)
+    assert len(calls) == 0
     assert list(streamed.entries) == sorted(assignments)
     assert len(streamed.entries) == len(assignments)
     for key in sorted(assignments):
         assert streamed.entries[key].tobytes() == db.entries[key].tobytes()
-    assert len(calls) == 1 + len({n for n, _ in assignments})
+    assert len(calls) == len({n for n, _ in assignments})
     with pytest.raises(KeyError):
         streamed.entries[(0, 99)]
 
@@ -466,9 +469,10 @@ def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):
     n = next(n for n in range(len(sc.sites))
              if {sc.catalog[s - 1].kind for s in sc.admissible_kind_values(n)}
              >= {"SP-EMS", "RP-EMS", "IAB"})
+    incident = site_powers(sc)
     build_database(sc, reference_field(sc),
                    {key: v for key, v in _every_kind_everywhere(sc).items()
-                    if key[0] == n})
+                    if key[0] == n}, incident_dbm=incident)
     (scenario, position, sources, points, walls, wall_loss_db), slabs = calls[-1]
     assert len({src.extra_path_m for src in sources}) == 2
     assert len(sources) == 2 * len(sc.admissible_kind_values(n))
@@ -480,4 +484,5 @@ def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):
 def test_build_database_rejects_a_foreign_reference():
     sc = open_field(nx=6, ny=6)
     with pytest.raises(ValueError, match="reference field"):
-        build_database(sc, reference_field(open_field(nx=5, ny=6)), {})
+        build_database(sc, reference_field(open_field(nx=5, ny=6)), {},
+                       incident_dbm=site_powers(sc))

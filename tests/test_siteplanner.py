@@ -11,6 +11,7 @@ from semeplan.siteplanner import (FeasibilityRow, Roi, ase_radii, ase_region,
                                   region_raster)
 from semeplan.synthetic import DEFAULT_CATALOG
 from semeplan.units import dbm_to_watts
+from dbtools import site_powers
 from toys import coverable_toy
 
 
@@ -231,7 +232,7 @@ def test_ase_verdict_below_sensitivity():
 
 def test_qualify_sites_empty_and_counting(coverable):
     sc = paper_bts_scenario(catalog=copy.deepcopy(DEFAULT_CATALOG))
-    report, plan = qualify_sites(sc, [_roi(60.0, 50.0)], -65.0)
+    report, plan = qualify_sites(sc, [_roi(60.0, 50.0)], -65.0, site_powers(sc))
     assert len(report) == 0
     assert plan.n_sites == 0
 
@@ -249,7 +250,7 @@ def test_report_reasons_recompute():
     # gets a lattice of poles and facades facing three ways, and two far
     # regions, so that every reason occurs.
     from semeplan.analysis import reference_blindspot
-    from semeplan.propagation import point_power_dbm, reference_field
+    from semeplan.propagation import reference_field
     doc = coverable_toy()
     for x in np.linspace(2.0, 113.0, 7).tolist():
         for y in np.linspace(2.0, 113.0, 7).tolist():
@@ -265,9 +266,9 @@ def test_report_reasons_recompute():
            for w, x in ((3, 3000.0), (4, -20000.0))]
     rois = build_rois(blindspot.components, sc.grid) + tuple(far)
     assert [r.index for r in rois] == [1, 2, 3, 4]
-    report, _ = qualify_sites(sc, rois, -65.0)
+    incident = site_powers(sc)
+    report, _ = qualify_sites(sc, rois, -65.0, incident)
     active = [k for k in sc.catalog if k.is_active]
-    incident = point_power_dbm(sc, np.array([s.position for s in sc.sites]))
     for row in report:
         site, roi = sc.sites[row.site], rois[row.roi - 1]
         if row.kind_class == "EMS":

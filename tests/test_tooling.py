@@ -2,6 +2,7 @@
 from `semeplan` exists, so moving a name they use fails here first."""
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -51,6 +52,46 @@ def test_semeplan_imports_resolve(tool):
             exec(compile(ast.Module([node], type_ignores=[]), str(tool), "exec"), {})
 
 
+def _traced_names() -> set:
+    """The dotted names perfbench/tracing.py times or counts (TIME_METRICS,
+    CALL_METRICS) or hooks and wraps in `Tracer.install`, read from its
+    source."""
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+            encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            target = node.targets[0].id
+            if target == "TIME_METRICS":
+                names.update(name for _, fns in ast.literal_eval(node.value).values()
+                             for name in fns)
+            elif target == "CALL_METRICS":
+                names.update(ast.literal_eval(node.value).values())
+            elif target == "hooks":
+                names.update(ast.literal_eval(key) for key in node.value.keys)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "_wrap" and isinstance(node.args[0], ast.Constant):
+            names.add(node.args[0].value)
+    return names
+
+
+def test_every_traced_name_is_a_semeplan_function():
+    # A timed function renamed or moved would read 0 in the benchmark
+    # instead of failing; propagation.see_contribution is the one name the
+    # tracer keeps for a function that no longer exists.
+    names = _traced_names()
+    assert {"propagation.save_database", "siteplanner.qualify_sites",
+            "objectives.Evaluator.__call__", "nsga2.evolve"} <= names
+    unresolved = set()
+    for name in sorted(names):
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"semeplan.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not (inspect.isfunction(obj) and obj.__module__ == f"semeplan.{layer}"):
+            unresolved.add(name)
+    assert unresolved <= {"propagation.see_contribution"}
+
+
 def test_traced_sites_and_dbgen_report_the_database_bytes(tmp_path):
     # The benchmark's tracer wraps the public functions of every layer and
     # reads the saved file through save_database's path argument.
@@ -72,11 +113,17 @@ def test_traced_sites_and_dbgen_report_the_database_bytes(tmp_path):
     try:
         assert cli.main(["sites"] + base) == 0
         assert cli.main(["dbgen", "--force"] + base) == 0
+        assert cli.main(["optimize", "--iters", "2"] + base) == 0
+        assert cli.main(["report"] + base) == 0
     finally:
         tracer.uninstall()
     metrics, stages = tracing.layer_metrics(tracer)
-    assert [stage["name"] for stage in stages] == ["cli.main", "cli.main"]
-    assert metrics["propagation.db_bytes_written"] == (out / "mapdb.bin").stat().st_size
+    assert [stage["name"] for stage in stages] == ["cli.main"] * 4
+    size = (out / "mapdb.bin").stat().st_size
+    assert metrics["propagation.db_bytes_written"] == size
+    assert metrics["propagation.db_bytes_read"] == 2 * size  # optimize, report
+    assert metrics["nsga2.generations"] == 2
+    assert metrics["objectives.eval_calls"] > 0
     assert metrics["propagation.point_power_calls"] == 2
     # Per stage one reference field and one site power; dbgen adds one
     # call per entry site (5 on the demo town)

@@ -11,6 +11,7 @@ from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import build_rois, qualify_sites
 from semeplan.synthetic import DEFAULT_CATALOG, _rect, _sector
 from semeplan.units import FREE_SPACE_IMPEDANCE, dbm_to_watts
+from dbtools import site_powers
 
 
 def pareto_toy() -> dict:
@@ -100,7 +101,7 @@ def benchmark_problem(pth_dbm: float = -65.0):
     reference = reference_field(scenario)
     _, blindspot = reference_blindspot(reference, scenario.wavelength, pth_dbm)
     rois = build_rois(blindspot.components, scenario.grid)
-    _, plan = qualify_sites(scenario, rois, pth_dbm)
+    _, plan = qualify_sites(scenario, rois, pth_dbm, site_powers(scenario))
 
     t_count = scenario.time_instants
     weights = np.asarray(BENCH_PATCH_WEIGHTS)
