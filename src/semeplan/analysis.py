@@ -21,23 +21,20 @@ REPRESENTATIVE_NAMES = ("best_coverage", "best_compromise",
 
 
 class BlindSpot:
-    """Cells below the power threshold, per instant, with their regions.
+    """Regions of the cells below the power threshold, per instant.
 
-    `masks[t]` flags every failing cell; `components[t]` partitions the
-    mask into 8-connected regions of at least the `min_cells` that
-    `extract_blindspot` was given, labeled in row-major order of their
-    first cell.
+    `components[t]` holds the 8-connected regions of failing cells at t
+    with at least the `min_cells` that `extract_blindspot` was given,
+    labeled in row-major order of their first cell.
     """
-    __slots__ = ("masks", "components")
+    __slots__ = ("components",)
 
-    def __init__(self, masks: np.ndarray,  # (T, ny, nx) bool
-                 components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
-        self.masks = masks
+    def __init__(self, components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
         self.components = components
 
     @property
     def time_instants(self) -> int:
-        return self.masks.shape[0]
+        return len(self.components)
 
     def region_cells(self, t: int) -> np.ndarray:
         """Union of the filtered regions at t, as an (k, 2) array of (iy, ix)."""
@@ -78,10 +75,8 @@ def extract_blindspot(power_dbm: np.ndarray, pth_dbm: float,
     power_dbm = np.asarray(power_dbm, dtype=float)
     if power_dbm.ndim != 3:
         raise ValueError("power map must have shape (T, ny, nx)")
-    masks = power_dbm < pth_dbm
-    components = tuple(_label_components(masks[t], min_cells)
-                       for t in range(power_dbm.shape[0]))
-    return BlindSpot(masks=masks, components=components)
+    return BlindSpot(tuple(_label_components(below, min_cells)
+                           for below in power_dbm < pth_dbm))
 
 
 def reference_blindspot(reference: np.ndarray, wavelength: float, pth_dbm: float,

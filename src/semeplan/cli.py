@@ -320,12 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_sites = sub.add_parser("sites", help="qualify candidate sites")
     _add_common(p_sites)
+    p_sites.set_defaults(run=cmd_sites)
     p_dbgen = sub.add_parser("dbgen", help="precompute the field database")
     _add_common(p_dbgen)
+    p_dbgen.set_defaults(run=cmd_dbgen)
     p_dbgen.add_argument("--force", action="store_true",
                          help="rebuild the database even if it is current")
     p_opt = sub.add_parser("optimize", help="run the multi-objective search")
     _add_common(p_opt)
+    p_opt.set_defaults(run=cmd_optimize)
     p_opt.add_argument("--pop", type=int, default=None,
                        help="population size (default 2x site count)")
     p_opt.add_argument("--iters", type=int, default=10_000,
@@ -338,31 +341,49 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--mutation-rate", type=float, default=0.005)
     p_rep = sub.add_parser("report", help="tables, maps and CDFs for a front")
     _add_common(p_rep)
+    p_rep.set_defaults(run=cmd_report)
     p_rep.add_argument("--archive", default=None,
                        help="archive CSV (default <out>/archive.csv)")
     return parser
 
 
+class _OutDirError(ValueError):
+    """An --out that cannot be made a directory: a config error."""
+
+
 class _OutDirLock:
     """Advisory lock; concurrent runs on one output directory are unsupported.
 
-    A run that finds the lock warns and proceeds, and leaves that lock in
-    place; only a lock this run created is removed on exit.  An output
-    directory this run created is removed on exit if the run left it empty.
+    Entering makes the output directory and its missing parents first, so a
+    path that cannot be a directory raises _OutDirError before anything is
+    written.  A run that finds the lock warns and proceeds, and leaves that
+    lock in place; only a lock this run created is removed on exit.  The
+    directories this run created are removed on exit, innermost first, up
+    to the first one the run left non-empty.
     """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.path = os.path.join(out_dir, ".lock")
         self.owned = False
-        self.created = False
+        self.created: list[str] = []  # outermost first
+
+    def _make(self, path: str) -> None:
+        """`os.makedirs(path, exist_ok=True)`, noting each directory it makes."""
+        head = os.path.dirname(path.rstrip(os.sep))
+        if head and not os.path.lexists(head):
+            self._make(head)
+        if not os.path.isdir(path):
+            os.mkdir(path)
+            self.created.append(path)
 
     def __enter__(self):
         try:
-            os.makedirs(self.out_dir)
-            self.created = True
-        except FileExistsError:
-            pass
+            self._make(self.out_dir)
+        except OSError as exc:
+            self.__exit__()
+            raise _OutDirError(f"--out {self.out_dir} is not a directory and "
+                               f"cannot be made one: {exc}") from exc
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -380,11 +401,11 @@ class _OutDirLock:
                 os.remove(self.path)
             except OSError:
                 pass
-        if self.created:
+        for path in reversed(self.created):
             try:
-                os.rmdir(self.out_dir)
+                os.rmdir(path)
             except OSError:  # the run wrote into it
-                pass
+                break
         return False
 
 
@@ -394,19 +415,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if os.path.lexists(args.out) and not os.path.isdir(args.out):
-        print(f"error: --out {args.out} exists and is not a directory", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         with _OutDirLock(args.out):
-            if args.command == "sites":
-                return cmd_sites(args)
-            if args.command == "dbgen":
-                return cmd_dbgen(args)
-            if args.command == "optimize":
-                return cmd_optimize(args)
-            return cmd_report(args)
-    except ScenarioError as exc:
+            return args.run(args)
+    except (ScenarioError, _OutDirError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StaleCacheError, propagation.MissingEntryError) as exc:

@@ -117,8 +117,8 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
     the origin lies on a wall (d <= 1e-9 * R) or inside the footprint, or
     when the widened wedge spans half a turn or more.
 
-    The targets are sorted by bearing once per call, so a wedge selects
-    one run of them, or two when it crosses the bearing of +-pi.  All
+    The targets are sorted by bearing once per call and listed twice, the
+    second copy a turn on, so each wedge selects one run of them.  All
     (footprint, target) pairs so selected then meet the footprints' edges
     one edge index at a time.
     """
@@ -143,30 +143,24 @@ def count_blocking_footprints(origin: np.ndarray, targets: np.ndarray,
     qp = vertices - o_xy
     centre, half, min_reach, cullable = _wedges(qp)
 
-    # Runs of the bearing-sorted targets: [lo, hi] for each cullable wedge,
-    # the same shifted by a turn for a wedge that crosses +-pi, and every
-    # target for the other footprints.
+    # Runs of the bearing-sorted targets, listed twice (the second time a
+    # turn on): each cullable wedge's run starts at its lower bearing,
+    # wrapped into [-pi, pi), and spans its width, under half a turn, so it
+    # holds no target twice; the other footprints take every target.
     bearing = np.arctan2(rel[:, 1], rel[:, 0])
     order = np.argsort(bearing)
-    bearing = bearing[order]
+    twice = np.concatenate([bearing[order], bearing[order] + 2.0 * math.pi])
     wedge = np.flatnonzero(cullable)
-    centre = np.remainder(centre[wedge] + math.pi, 2.0 * math.pi) - math.pi
-    lo, hi = centre - half[wedge], centre + half[wedge]
-    shift = np.where(lo < -math.pi, 2.0 * math.pi,
-                     np.where(hi > math.pi, -2.0 * math.pi, 0.0))
-    seam = shift != 0.0
+    lo = np.remainder(centre[wedge] - half[wedge] + math.pi, 2.0 * math.pi) - math.pi
     wide = np.flatnonzero(~cullable)
-    owner = np.concatenate([wedge, wedge[seam], wide])
-    starts = np.concatenate([
-        np.searchsorted(bearing, np.concatenate([lo, (lo + shift)[seam]]), "left"),
-        np.zeros(len(wide), dtype=np.intp)])
-    stops = np.concatenate([
-        np.searchsorted(bearing, np.concatenate([hi, (hi + shift)[seam]]), "right"),
-        np.full(len(wide), m, dtype=np.intp)])
+    starts = np.concatenate([np.searchsorted(twice, lo, "left"),
+                             np.zeros(len(wide), dtype=np.intp)])
+    stops = np.concatenate([np.searchsorted(twice, lo + 2.0 * half[wedge], "right"),
+                            np.full(len(wide), m, dtype=np.intp)])
     lengths = stops - starts
-    pair_f = np.repeat(owner, lengths)
-    pair_t = order[np.arange(len(pair_f))
-                   + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)]
+    pair_f = np.repeat(np.concatenate([wedge, wide]), lengths)
+    pair_t = order[(np.arange(len(pair_f))
+                    + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)) % m]
     near = reaches[pair_t] >= np.where(cullable, min_reach, -np.inf)[pair_f]
     pair_f, pair_t = pair_f[near], pair_t[near]
 

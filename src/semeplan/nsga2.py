@@ -121,10 +121,10 @@ class ArchiveEntry(NamedTuple):
     objectives: tuple[float, float, float]
 
 
-def pareto_archive(genes_list, objectives) -> tuple[ArchiveEntry, ...]:
-    """The mutually non-dominated members of a population, one per chromosome,
-    sorted by (objectives, genes)."""
-    ranks = fast_nondominated_sort(objectives)
+def pareto_archive(genes_list, objectives, ranks) -> tuple[ArchiveEntry, ...]:
+    """The members of a population at rank 0, one per chromosome, sorted by
+    (objectives, genes).  `ranks` are the front indices that
+    `fast_nondominated_sort` gives it, with any `keep`: front 0 is whole."""
     seen = set()
     entries = []
     for i, rank in enumerate(ranks):
@@ -331,7 +331,7 @@ def evolve(config: GaConfig, evaluator: Callable,
     ranks, crowding = _rank_and_crowd([o for _, o in pop], size)
     trace = [_stats(0, [g for g, _ in pop], [o for _, o in pop], ranks)]
 
-    combined = pop
+    combined, comb_ranks = pop, ranks
     for generation in range(1, config.iterations + 1):
         offspring = []
         for _ in range(size // 2):
@@ -357,7 +357,8 @@ def evolve(config: GaConfig, evaluator: Callable,
         trace.append(_stats(generation, [g for g, _ in combined], comb_objs,
                             comb_ranks))
 
-    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined])
+    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined],
+                             comb_ranks)
     return EvolveResult(archive=archive, trace=trace)
 
 

@@ -62,14 +62,13 @@ def _sector_gain_dbi(sector: BtsSector, directions: np.ndarray) -> np.ndarray:
 
 def _pencil_gain_dbi(boresight: np.ndarray, max_gain_dbi: float,
                      directions: np.ndarray) -> np.ndarray:
-    """Symmetric beam whose width follows from the directive gain."""
+    """Symmetric beam about a unit `boresight`; its width follows from the
+    directive gain."""
     # Classic aperture estimate: G ~ 41253 / (bw_az * bw_el) in degrees.
     g_lin = 10.0 ** (max_gain_dbi / 10.0)
     beamwidth_deg = float(np.sqrt(41253.0 / max(g_lin, 1.0)))
     d = np.atleast_2d(directions)
-    b = np.asarray(boresight, dtype=float)
-    b = b / np.linalg.norm(b)
-    cos_psi = np.clip(d @ b, -1.0, 1.0)
+    cos_psi = np.clip(d @ boresight, -1.0, 1.0)
     psi = np.degrees(np.arccos(cos_psi))
     att = 12.0 * (psi / beamwidth_deg) ** 2
     return max_gain_dbi - np.minimum(att, BACKLOBE_FLOOR_DB)

@@ -71,9 +71,6 @@ class Building(NamedTuple):
     footprint: tuple[Point2, ...]
     height: float
 
-    def footprint_array(self) -> np.ndarray:
-        return np.asarray(self.footprint, dtype=float)
-
 
 class BtsSector(NamedTuple):
     azimuth_deg: float
@@ -197,7 +194,7 @@ class Scenario(NamedTuple):
                      if entry.kind in site.admissible_kinds)
 
     def footprints(self) -> list[tuple[np.ndarray, float]]:
-        return [(b.footprint_array(), b.height) for b in self.buildings]
+        return [(np.asarray(b.footprint, dtype=float), b.height) for b in self.buildings]
 
     def content_hash(self) -> str:
         blob = json.dumps(scenario_to_dict(self), sort_keys=True,

@@ -47,16 +47,14 @@ def bfs_components(mask, min_cells):
 def test_all_covered_map_has_no_regions():
     power = np.full((1, 6, 6), -40.0)
     bs = extract_blindspot(power, PTH)
-    assert not bs.masks.any()
     assert bs.components == ((),)
 
 
-def test_min_area_filter_keeps_raw_mask():
+def test_min_area_filter_drops_small_regions():
     power = np.full((1, 6, 6), -40.0)
     power[0, 3, 3] = -70.0
+    assert extract_blindspot(power, PTH, min_cells=1).components == ((((3, 3),),),)
     bs = extract_blindspot(power, PTH, min_cells=2)
-    assert bs.masks[0, 3, 3]
-    assert bs.masks.sum() == 1
     assert bs.components == ((),)
     assert len(bs.region_cells(0)) == 0
 
@@ -73,8 +71,9 @@ def test_two_separated_clusters():
 
 def test_threshold_is_strict():
     power = np.full((1, 4, 4), PTH)
-    bs = extract_blindspot(power, PTH)
-    assert not bs.masks.any()
+    assert extract_blindspot(power, PTH).components == ((),)
+    below = extract_blindspot(np.nextafter(power, -np.inf), PTH)
+    assert [len(c) for c in below.components[0]] == [16]
 
 
 def test_components_match_bfs_oracle_on_hand_mask():
@@ -158,7 +157,7 @@ def test_coverage_cdf_reference_region(coverable):
     assert at_pth[0] == 1.0
     assert (np.diff(cdf) >= 0).all()
     with pytest.raises(ValueError, match="at least one value|empty"):
-        empty = BlindSpot(masks=np.zeros((1, 2, 2), bool), components=((),))
+        empty = BlindSpot(((),))
         coverage_cdf(power, empty, 0, grid)
 
 

@@ -466,6 +466,33 @@ def test_out_naming_a_file_is_a_config_error(workspace, capsys):
     assert out.read_text() == "not a directory"
 
 
+def test_out_below_a_file_is_a_config_error(workspace, capsys):
+    _, out, base = workspace
+    out.write_text("not a directory")
+    argv = ["sites"] + base
+    argv[argv.index("--out") + 1] = str(out / "sub")
+    assert main(argv) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("case", ["optimize_without_database", "sites_bad_scenario"])
+def test_failed_run_removes_every_directory_it_created(workspace, case):
+    scenario, out, base = workspace
+    nested = out / "new1" / "new2" / "new3"
+    if case == "optimize_without_database":
+        argv, code = ["optimize"] + base + FAST_GA, 3
+    else:
+        scenario.write_text("{not json")
+        argv, code = ["sites"] + base, 2
+    argv[argv.index("--out") + 1] = str(nested)
+    assert main(argv) == code
+    assert not out.exists()
+    (out / "new1").mkdir(parents=True)  # directories the run did not create stay
+    assert main(argv) == code
+    assert [p.name for p in out.rglob("*")] == ["new1"]
+
+
 def test_report_archive_naming_a_directory_is_stale(workspace, tmp_path):
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0

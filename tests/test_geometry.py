@@ -1,3 +1,6 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +12,7 @@ from semeplan.geometry import count_blocking_footprints, polygon_is_simple
 from semeplan.scenario import scenario_from_dict
 from semeplan.synthetic import demo_scenario
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
 
 
@@ -293,9 +297,18 @@ def test_counts_equal_brute_force_at_walls_vertices_and_the_seam(case):
 
 
 def test_counts_equal_brute_force_from_every_demo_origin():
-    sc = scenario_from_dict(demo_scenario())
-    targets = sc.grid.centers()
-    fps = sc.footprints()
-    for origin in [sc.bts.position] + [site.position for site in sc.sites]:
-        np.testing.assert_array_equal(count_blocking_footprints(origin, targets, fps),
-                                      brute_force_counts(origin, targets, fps))
+    # The demo town and the benchmark's seeded town, whose occlusion the
+    # town-build workload runs.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import town
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for document in (demo_scenario(), town.town(21)):
+        sc = scenario_from_dict(document)
+        targets = sc.grid.centers()
+        fps = sc.footprints()
+        for origin in [sc.bts.position] + [site.position for site in sc.sites]:
+            np.testing.assert_array_equal(
+                count_blocking_footprints(origin, targets, fps),
+                brute_force_counts(origin, targets, fps))

@@ -128,3 +128,10 @@ def test_traced_sites_and_dbgen_report_the_database_bytes(tmp_path):
     # Per stage one reference field and one site power; dbgen adds one
     # call per entry site (5 on the demo town)
     assert metrics["geometry.occlusion_calls"] == 2 * 2 + 5
+    # The blind-spot hook counts the region cells of the last blind spot
+    from semeplan import analysis, propagation
+    db = propagation.load_database(out / "mapdb.bin")
+    _, blindspot = analysis.reference_blindspot(db.reference, db.wavelength, -65.0)
+    cells = sum(len(blindspot.region_cells(t)) for t in range(db.time_instants))
+    assert cells > 0
+    assert metrics["analysis.blindspot_cells"] == cells
