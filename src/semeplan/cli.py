@@ -56,9 +56,13 @@ def _prepare(args: argparse.Namespace, scenario: Scenario):
     power at every site for the options.
 
     The reference is rounded to the complex64 that `mapdb.bin` stores, so
-    every stage derives the same blind spot and regions from it."""
+    every stage derives the same blind spot and regions from it; one that
+    overflows there raises ScenarioError."""
     reference = propagation.reference_field(scenario, wall_loss_db=args.wall_loss_db)
     reference = reference.astype(np.complex64).astype(np.complex128)
+    if not np.isfinite(reference).all():
+        raise ScenarioError("bts: the base station's field overflows the complex64 "
+                            "that mapdb.bin stores; lower the sectors' tx_power_w")
     _, blindspot = analysis.reference_blindspot(
         reference, scenario.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
@@ -153,7 +157,7 @@ def cmd_dbgen(args: argparse.Namespace) -> int:
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
         mode=args.mode, wall_loss_db=args.wall_loss_db,
-        params=_db_params(args), plan=plan, incident_dbm=incident, streamed=True)
+        params=_db_params(args), plan=plan, incident_dbm=incident)
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
     return EXIT_OK
@@ -216,7 +220,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    db, _ = _current_db(args, scenario)
+    db, plan = _current_db(args, scenario)
     archive_path = args.archive or os.path.join(args.out, "archive.csv")
     if not os.path.isfile(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing or not a file; "
@@ -235,6 +239,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if any(len(entry.genes) != scenario.n_sites for entry in archive):
         raise StaleCacheError(f"archive {archive_path} holds a deployment that is "
                               f"not {scenario.n_sites} genes long; rerun optimize")
+    alphabets = plan.alphabets()
+    if any(gene not in alphabet for entry in archive
+           for gene, alphabet in zip(entry.genes, alphabets)):
+        raise StaleCacheError(f"archive {archive_path} deploys a kind that the site "
+                              "plan of the database does not hold; rerun optimize")
     if len(archive) == 0:
         print("report: archive is empty", file=sys.stderr)
         return EXIT_RUNTIME

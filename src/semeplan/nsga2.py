@@ -56,7 +56,7 @@ class GaConfig:
 
 
 def fast_nondominated_sort(objectives: Sequence[Sequence[float]],
-                           keep: int | None = None) -> list[int]:
+                           keep: int) -> list[int]:
     """Front index per individual (0 = non-dominated), Deb's O(MN^2) scheme.
 
     `no_worse[p, q]`, p is no worse than q in every objective, is built from
@@ -65,9 +65,9 @@ def fast_nondominated_sort(objectives: Sequence[Sequence[float]],
     NaN too, which compares false both ways.  Front peeling then follows the
     usual domination-count bookkeeping.
 
-    With `keep`, peeling stops at the first front that brings the members
-    placed to `keep` or more, and every member left gets the next index:
-    survivor selection of `keep` members never reaches them.
+    Peeling stops at the first front that brings the members placed to
+    `keep` or more (`len(objectives)` ranks every front), and every member
+    left gets the next index: selecting `keep` survivors never reaches them.
     """
     n = len(objectives)
     if n == 0:
@@ -85,7 +85,7 @@ def fast_nondominated_sort(objectives: Sequence[Sequence[float]],
         ranks[current] = front
         front += 1
         placed += current.size
-        if keep is not None and placed >= keep:
+        if placed >= keep:
             ranks[counts > 0] = front
             break
         # nothing in this front or a later one dominates these, so -1 stays

@@ -20,8 +20,8 @@ import numpy as np
 
 from .csvfile import replaced_atomically, write_grid_csv
 from .geometry import count_blocking_footprints
-from .scenario import (BtsSector, CandidateSite, GridSpec, Scenario, SeeType,
-                       _finite, _parse_grid, grid_to_dict)
+from .scenario import (BtsSector, CandidateSite, GridSpec, Scenario, ScenarioError,
+                       SeeType, _finite, _parse_grid, grid_to_dict)
 from .siteplanner import SitePlan
 from .units import FREE_SPACE_IMPEDANCE, dbm_to_watts, watts_to_dbm
 
@@ -107,7 +107,7 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
     and the phase once per distinct pre-travelled path.  `walls` counts
     the footprints that block the path from `position` to each point.  A
     source without power leaves its slab zero.  A field that overflows to
-    a non-finite value raises ValueError.
+    a non-finite value raises ScenarioError naming `position`.
     """
     wavelength = scenario.wavelength
     delta = points - position
@@ -132,7 +132,8 @@ def _radiate(scenario: Scenario, position: np.ndarray, sources: Sequence[_Source
         np.multiply(amplitude * phases[src.extra_path_m], polarization, out=slab)
         slab += 0.0
     if not np.isfinite(slabs).all():
-        raise ValueError("computed field contains non-finite values")
+        raise ScenarioError(f"the field radiated from {tuple(position.tolist())} "
+                            "overflows: check the radiator there")
     return slabs
 
 
@@ -321,8 +322,7 @@ def build_database(scenario: Scenario, reference: np.ndarray,
                    *, incident_dbm: np.ndarray, mode: str = "coherent",
                    wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
-                   plan: SitePlan | None = None,
-                   streamed: bool = False) -> MapDatabase:
+                   plan: SitePlan | None = None) -> MapDatabase:
     """Bundle the reference field with every assigned device contribution.
 
     `reference` is the scenario's `reference_field` at the same wall loss.
@@ -330,11 +330,10 @@ def build_database(scenario: Scenario, reference: np.ndarray,
     points for that pair, as produced by the site planner.
     `incident_dbm` is the BTS power at every scenario site, (T, n_sites)
     in dBm, as `point_power_dbm` gives it for `scenario.sites` at the same
-    wall loss.  Each site radiates all of its kinds in one `_site_fields` call.
-
-    With `streamed`, the entries are computed when they are read, one
-    site at a time, and only the last site's are kept: `save_database`
-    then writes each site's fields as soon as they are computed.
+    wall loss.  The entries are computed when read, a site's kinds in one
+    `_site_fields` call, and only the last site's are kept, so
+    `save_database` writes each site's fields as soon as they exist; a
+    caller that reads entries repeatedly keeps `dict(db.entries)`.
     """
     if mode not in COMBINING_MODES:
         raise ValueError(f"mode must be one of {COMBINING_MODES}, got {mode!r}")
@@ -350,12 +349,11 @@ def build_database(scenario: Scenario, reference: np.ndarray,
             [(scenario.catalog[s - 1], assignments[(n, s)]) for _, s in site_keys],
             wall_loss_db)))
 
-    entries = _StreamedEntries(radiate, keys)
     header = database_header(scenario, mode,
                              {"wall_loss_db": wall_loss_db, **(params or {})},
                              keys, plan)
-    return MapDatabase(reference=reference,
-                       entries=entries if streamed else dict(entries), header=header)
+    return MapDatabase(reference=reference, entries=_StreamedEntries(radiate, keys),
+                       header=header)
 
 
 def selected_keys(db: MapDatabase, genes) -> list[tuple[int, int]]:
@@ -415,10 +413,10 @@ def save_database(db: MapDatabase, path) -> None:
     """Write the header, the reference, then the entries in directory order.
 
     Each grid is read from `db` and written, as complex64, before the next
-    one is read, so a streamed database (`build_database(streamed=True)`)
-    never holds all of its entries.  A grid with a value that is not
-    finite as complex64 raises DatabaseError, since `load_database` would
-    reject the file.  On any failure `path` keeps its previous contents.
+    one is read, so a database from `build_database` never holds all of
+    its entries.  A grid with a value that is not finite as complex64
+    raises DatabaseError, since `load_database` would reject the file.  On
+    any failure `path` keeps its previous contents.
     """
     header = json.dumps(db.header, sort_keys=True, separators=(",", ":")).encode()
     grids = itertools.chain([db.reference], (db.entries[(n, s)]

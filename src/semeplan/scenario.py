@@ -442,26 +442,3 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             for s in scenario.sites
         ],
     }
-
-
-def buildings_from_geojson(doc: Mapping, default_height: float = 10.0) -> list[dict]:
-    """Convert a GeoJSON-like FeatureCollection of polygons to building dicts.
-
-    Only the outer ring of each polygon is used; the optional `height`
-    property overrides `default_height`.
-    """
-    features = doc.get("features", [])
-    out = []
-    for feat in features:
-        geom = feat.get("geometry", {})
-        if geom.get("type") != "Polygon":
-            continue
-        rings = geom.get("coordinates") or []
-        if not rings:
-            continue
-        props = feat.get("properties") or {}
-        out.append({
-            "footprint": [list(map(float, p)) for p in rings[0]],
-            "height_m": float(props.get("height", default_height)),
-        })
-    return out

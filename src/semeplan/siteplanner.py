@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .csvfile import write_csv, write_grid_csv
-from .scenario import CandidateSite, GridSpec, Scenario, SeeType
+from .scenario import GridSpec, Scenario, ScenarioError, SeeType
 from .units import dbm_to_watts
 
 
@@ -144,18 +144,29 @@ def ems_region(scenario: Scenario, roi: Roi,
 
 def ase_radii(scenario: Scenario, kind: SeeType,
               pth_dbm: float) -> tuple[float, float]:
-    """(visibility radius around the BTS, reach radius around the region)."""
+    """(visibility radius around the BTS, reach radius around the region).
+
+    A radius that overflows raises ScenarioError naming the kind's values.
+    """
     if not kind.is_active:
         raise ValueError(f"ase_radii needs an active kind, got {kind.kind}")
     lam = scenario.wavelength
-    g_ase = 10.0 ** (kind.gain_dbi / 10.0)
-    g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
-    p_sense = float(dbm_to_watts(kind.sensitivity_dbm))
-    p_th = float(dbm_to_watts(pth_dbm))
-    p_ase = float(dbm_to_watts(kind.tx_power_dbm))
-    rho_bts = lam / (4.0 * np.pi) * np.sqrt(
-        scenario.bts.max_tx_power_w * g_tx * g_ase / p_sense)
-    rho_roi = lam / (4.0 * np.pi) * np.sqrt(p_ase * g_ase / p_th)
+    try:
+        g_ase = 10.0 ** (kind.gain_dbi / 10.0)
+        g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
+        p_sense = float(dbm_to_watts(kind.sensitivity_dbm))
+        p_th = float(dbm_to_watts(pth_dbm))
+        p_ase = float(dbm_to_watts(kind.tx_power_dbm))
+        rho_bts = lam / (4.0 * np.pi) * np.sqrt(
+            scenario.bts.max_tx_power_w * g_tx * g_ase / p_sense)
+        rho_roi = lam / (4.0 * np.pi) * np.sqrt(p_ase * g_ase / p_th)
+    except (OverflowError, ZeroDivisionError):
+        rho_bts = rho_roi = np.inf
+    if not np.isfinite([rho_bts, rho_roi]).all():
+        raise ScenarioError(
+            f"catalog kind {kind.kind} (gain_dbi {kind.gain_dbi!r}, tx_power_dbm "
+            f"{kind.tx_power_dbm!r}, sensitivity_dbm {kind.sensitivity_dbm!r}): "
+            "its region radius is not finite")
     return float(rho_bts), float(rho_roi)
 
 
@@ -178,56 +189,6 @@ def ase_region(scenario: Scenario, roi: Roi, kind: SeeType,
 def region_raster(predicate, grid: GridSpec) -> np.ndarray:
     """Sample a region predicate on the grid, (ny, nx) booleans."""
     return np.asarray(predicate(grid.centers())).reshape(grid.ny, grid.nx)
-
-
-# ---------------------------------------------------------------------------
-# Per-site verdicts
-
-
-def _angle_deg(v1, v2) -> float:
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    cosang = np.dot(v1, v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-
-
-def ems_site_verdict(scenario: Scenario, site: CandidateSite, roi: Roi,
-                     inside: bool, incident_dbm: np.ndarray, pth_dbm: float) -> str:
-    """First failing passive-skin rule, or "" when the site is feasible.
-
-    `inside` tells whether the site lies in the region's `ems_region`.
-    Rule order: region membership, incidence angle, reflection angle,
-    incident power.  Pole sites carry no wall, so the angle rules do not
-    apply to them.
-    """
-    if not inside:
-        return "outside_region"
-    position = np.asarray(site.position, dtype=float)
-    if site.mount == "facade":
-        if site.normal is None:
-            raise ValueError("facade site is missing its outward wall normal")
-        normal = np.asarray(site.normal, dtype=float)
-        to_bts = np.asarray(scenario.bts.position, dtype=float) - position
-        if _angle_deg(normal, to_bts) >= 90.0:
-            return "unfeasible_incident_angle"
-        bx, by = roi.avg_barycenter
-        to_roi = np.array([bx, by, scenario.grid.height]) - position
-        if _angle_deg(normal, to_roi) >= 90.0:
-            return "unfeasible_reflection_angle"
-    if bool((incident_dbm < pth_dbm).any()):
-        return "low_incidence_power"
-    return ""
-
-
-def ase_site_verdict(kind: SeeType, inside: bool,
-                     incident_dbm: np.ndarray) -> str:
-    """First failing active-device rule, or "" when the site is feasible;
-    `inside` tells whether the site lies in the region's `ase_region`."""
-    if not inside:
-        return "outside_region"
-    if bool((incident_dbm < kind.sensitivity_dbm).any()):
-        return "below_sensitivity"
-    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -281,62 +242,69 @@ def qualify_sites(scenario: Scenario, rois: Sequence[Roi], pth_dbm: float,
                   ) -> tuple[tuple[FeasibilityRow, ...], SitePlan]:
     """Evaluate every (site, region, class) triple and build the site plan.
 
-    The report carries one verdict per triple regardless of what the site
-    operator allows there; the plan intersects location feasibility with
-    each site's admissible kinds and aims every retained (site, kind) at
-    its nearest feasible region.  `incident_dbm` is the BTS power at every
+    Per region, one table lists each class's rules in the order they are
+    checked, each a mask over the sites; a verdict names the first rule the
+    site breaks.  EMS: region, incidence angle, reflection angle (pole sites
+    carry no wall and pass both), incident power.  Each active kind: region,
+    sensitivity; the ASE class is feasible when one kind is, and otherwise
+    takes the first kind's reason.  The report holds a verdict per triple
+    whatever the site admits; the plan intersects feasibility with each
+    site's admissible kinds and aims every retained (site, kind) at its
+    nearest feasible region.  `incident_dbm` is the BTS power at every
     site, (T, n_sites) in dBm, as `propagation.point_power_dbm` gives it.
     """
-    active_kinds = [(s, k) for s, k in enumerate(scenario.catalog, start=1)
-                    if k.is_active]
-    positions = np.asarray([s.position for s in scenario.sites], float).reshape(-1, 3)
-    # Region membership of every site at once, per region and per kind
-    ems_inside = {roi.index: ems_region(scenario, roi, pth_dbm)(positions).tolist()
-                  for roi in rois}
-    ase_inside = {(roi.index, s): ase_region(scenario, roi, kind, pth_dbm)(
-        positions).tolist() for roi in rois for s, kind in active_kinds}
+    sites = scenario.sites
+    positions = np.asarray([s.position for s in sites], float).reshape(-1, 3)
+    facades = [n for n, site in enumerate(sites) if site.mount == "facade"]
+    normals = np.asarray([sites[n].normal for n in facades], float).reshape(-1, 3)
 
-    rows: list[FeasibilityRow] = []
-    ems_ok: dict[tuple[int, int], bool] = {}
-    ase_ok: dict[tuple[int, int, int], bool] = {}
-    for n, site in enumerate(scenario.sites):
-        site_incident = incident_dbm[:, n]
-        for roi in rois:
-            reason = ems_site_verdict(scenario, site, roi, ems_inside[roi.index][n],
-                                      site_incident, pth_dbm)
-            ems_ok[(n, roi.index)] = reason == ""
-            rows.append(FeasibilityRow(site=n, roi=roi.index, kind_class="EMS",
-                                       feasible=reason == "", reason=reason))
-            class_reason = None
-            feasible = False
-            for s, kind in active_kinds:
-                k_reason = ase_site_verdict(kind, ase_inside[(roi.index, s)][n],
-                                            site_incident)
-                ase_ok[(n, roi.index, s)] = k_reason == ""
-                if k_reason == "":
-                    feasible = True
-                elif class_reason is None:
-                    class_reason = k_reason
-            rows.append(FeasibilityRow(
-                site=n, roi=roi.index, kind_class="ASE", feasible=feasible,
-                reason="" if feasible else (class_reason or "outside_region")))
+    def faces_away(point) -> np.ndarray:
+        """Facade sites whose outward normal is 90 degrees or more off the
+        direction to `point`."""
+        to_point = np.asarray(point, dtype=float) - positions[facades]
+        cosang = (normals * to_point).sum(axis=1) / (
+            np.linalg.norm(normals, axis=1) * np.linalg.norm(to_point, axis=1))
+        away = np.zeros(len(sites), dtype=bool)
+        away[facades] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))) >= 90.0
+        return away
 
+    active = [(s, k) for s, k in enumerate(scenario.catalog, start=1) if k.is_active]
+    bts_away = faces_away(scenario.bts.position)
+    weak = (incident_dbm < pth_dbm).any(axis=0)
+    verdicts = []  # per region: the EMS verdicts, then each active kind's
+    for roi in rois:
+        table = [[(~ems_region(scenario, roi, pth_dbm)(positions), "outside_region"),
+                  (bts_away, "unfeasible_incident_angle"),
+                  (faces_away((*roi.avg_barycenter, scenario.grid.height)),
+                   "unfeasible_reflection_angle"),
+                  (weak, "low_incidence_power")]]
+        table += [[(~ase_region(scenario, roi, kind, pth_dbm)(positions),
+                    "outside_region"),
+                   ((incident_dbm < kind.sensitivity_dbm).any(axis=0),
+                    "below_sensitivity")] for _, kind in active]
+        verdicts.append([np.select(*zip(*rules), "").tolist() for rules in table])
+
+    rows = []
+    for n in range(len(sites)):
+        for roi, (ems, *kinds) in zip(rois, verdicts):
+            ase = [reasons[n] for reasons in kinds]
+            ase_reason = "" if "" in ase else next(iter(ase), "outside_region")
+            rows += [FeasibilityRow(n, roi.index, "EMS", ems[n] == "", ems[n]),
+                     FeasibilityRow(n, roi.index, "ASE", ase_reason == "", ase_reason)]
+
+    table_row = {s: k for k, (s, _) in enumerate(active, start=1)}  # passive: 0
     assignments = []
-    for n, site in enumerate(scenario.sites):
+    for n in range(len(sites)):
         pos_xy = positions[n, :2]
         distance = {r.index: float(np.linalg.norm(pos_xy - np.asarray(r.avg_barycenter)))
                     for r in rois}
         entries = []
         for s in scenario.admissible_kind_values(n):
-            kind = scenario.catalog[s - 1]
-            if kind.is_passive:
-                feasible_rois = [r for r in rois if ems_ok[(n, r.index)]]
-            else:
-                feasible_rois = [r for r in rois if ase_ok[(n, r.index, s)]]
-            if not feasible_rois:
-                continue
-            target = min(feasible_rois, key=lambda r: (distance[r.index], r.index))
-            entries.append((s, target.index))
+            feasible_rois = [r for r, v in zip(rois, verdicts)
+                             if v[table_row.get(s, 0)][n] == ""]
+            if feasible_rois:
+                target = min(feasible_rois, key=lambda r: (distance[r.index], r.index))
+                entries.append((s, target.index))
         assignments.append(tuple(entries))
     return tuple(rows), SitePlan(tuple(assignments))
 

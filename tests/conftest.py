@@ -6,7 +6,7 @@ from semeplan.objectives import Evaluator
 from semeplan.propagation import build_database, reference_field
 from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import build_rois, qualify_sites
-from dbtools import site_powers
+from dbtools import in_memory, site_powers
 from toys import coverable_toy
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -25,8 +25,8 @@ def coverable():
     incident = site_powers(scenario)
     report, plan = qualify_sites(scenario, rois, PTH_DBM, incident)
     assignments = plan.db_assignments(rois, scenario.grid.height)
-    dbs = {mode: build_database(scenario, reference, assignments,
-                                incident_dbm=incident, mode=mode)
+    dbs = {mode: in_memory(build_database(scenario, reference, assignments,
+                                          incident_dbm=incident, mode=mode))
            for mode in ("coherent", "incoherent")}
     return {
         "scenario": scenario,

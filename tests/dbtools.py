@@ -22,6 +22,13 @@ def site_powers(scenario, wall_loss_db=DEFAULT_WALL_LOSS_DB) -> np.ndarray:
                            wall_loss_db=wall_loss_db)
 
 
+def in_memory(db):
+    """`db` with every entry computed and kept: `build_database` computes a
+    site's entries when they are read and keeps only the last site's."""
+    db.entries = dict(db.entries)
+    return db
+
+
 def see_contribution(scenario, site, kind, roi_targets, *,
                      wall_loss_db=DEFAULT_WALL_LOSS_DB) -> np.ndarray:
     """Field radiated by one device at one site, one slab per time instant:

@@ -125,7 +125,7 @@ def test_c02_nondominated_sort_oracle():
         if n >= 4:  # force duplicate vectors into the population
             objs[rng.integers(n)] = objs[rng.integers(n)]
         objs = [tuple(row) for row in objs]
-        assert fast_nondominated_sort(objs) == brute_force(objs)
+        assert fast_nondominated_sort(objs, len(objs)) == brute_force(objs)
     report(2, "fast non-dominated sort equals the pairwise oracle")
 
 

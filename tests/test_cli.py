@@ -13,7 +13,7 @@ from semeplan import analysis, cli, propagation, siteplanner
 from semeplan.cli import build_parser, main
 from semeplan.scenario import load_scenario
 from semeplan.synthetic import demo_scenario, write_scenario
-from dbtools import with_header, with_nan
+from dbtools import in_memory, with_header, with_nan
 from toys import coverable_toy
 from test_scenario import LEAF_MUTATIONS, _DELETE, _leaf_paths
 
@@ -212,7 +212,7 @@ def test_failed_streamed_dbgen_keeps_the_previous_database(workspace, monkeypatc
 def test_streamed_dbgen_writes_the_bytes_of_the_built_database(tmp_path, document,
                                                                options):
     # dbgen streams each site's fields into the file with the site power of
-    # its site qualification; a library caller builds every entry in memory
+    # its site qualification; a library caller keeps every entry in memory
     # with the same powers.  The one writer gives equal bytes.
     scenario = tmp_path / "scenario.json"
     write_scenario(document(), scenario)
@@ -221,11 +221,11 @@ def test_streamed_dbgen_writes_the_bytes_of_the_built_database(tmp_path, documen
     args = build_parser().parse_args(["dbgen"] + base)
     sc = load_scenario(scenario)
     reference, rois, _, plan, incident = cli._prepare(args, sc)
-    db = propagation.build_database(
+    db = in_memory(propagation.build_database(
         sc, reference, plan.db_assignments(rois, sc.grid.height), mode=args.mode,
         wall_loss_db=args.wall_loss_db, params=cli._db_params(args), plan=plan,
-        incident_dbm=incident)
-    assert type(db.entries) is dict and len(db.entries) > 0
+        incident_dbm=incident))
+    assert len(db.entries) > 0
     propagation.save_database(db, tmp_path / "built.bin")
     assert (tmp_path / "built.bin").read_bytes() == \
         (tmp_path / "run" / "mapdb.bin").read_bytes()
@@ -440,9 +440,56 @@ def test_non_finite_computed_field_fails_and_writes_no_database(tmp_path):
     scenario = tmp_path / "scenario.json"
     write_scenario(doc, scenario)
     base = ["--scenario", str(scenario), "--out", str(tmp_path / "run")]
-    assert main(["sites"] + base) == 4
-    assert main(["dbgen"] + base) == 4
+    assert main(["sites"] + base) == 2
+    assert main(["dbgen"] + base) == 2
     assert not (tmp_path / "run" / "mapdb.bin").exists()
+
+
+def _set_every(node, path, value) -> None:
+    """Set the leaf at `path`, a list of keys and indices where "*" stands
+    for every index, to `value`; a mapping without the last key is skipped."""
+    key, rest = path[0], path[1:]
+    for k in (range(len(node)) if key == "*" else [key]):
+        if rest:
+            _set_every(node[k], rest, value)
+        elif not isinstance(node, dict) or k in node:
+            node[k] = value
+
+
+# Each case sets every leaf at a path of the demo document to a finite but
+# absurd value, which makes a field or power the first stage derives overflow;
+# the error names the element.  The sector powers overflow only as the
+# complex64 every stage rounds the reference to, so no cell would be blind.
+# A catalog aperture_m2 of 1e300 is not here: its fields overflow only as the
+# complex64 that save_database writes, which refuses them (exit 4).
+OVERFLOWS = {
+    "sector_tx_power_w": (["bts", "time_instants", "*", "sectors", "*", "tx_power_w"],
+                          1e300, "tx_power_w"),
+    "sector_max_gain_dbi": (["bts", "time_instants", 0, "sectors", 0, "max_gain_dbi"],
+                            1e6, "radiated from (8.0, 68.0, 18.0)"),
+    "catalog_gain_dbi": (["catalog", "*", "gain_dbi"], 1e6, "catalog kind SR"),
+    "catalog_sensitivity_dbm": (["catalog", "*", "sensitivity_dbm"], -1e300,
+                                "catalog kind SR"),
+    "catalog_tx_power_dbm": (["catalog", "*", "tx_power_dbm"], 1e6, "catalog kind SR"),
+    "grid_spacing_m": (["grid", "spacing_m"], 1e300, "radiated from (8.0, 68.0, 18.0)"),
+    "grid_height_m": (["grid", "height_m"], 1e300, "radiated from (8.0, 68.0, 18.0)"),
+    "bts_height": (["bts", "position", 2], 1e300, "radiated from (8.0, 68.0, 1e+300)"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+@pytest.mark.parametrize("stage", ["sites", "dbgen"])
+def test_overflowing_scenario_value_is_config_error(tmp_path, case, stage, capsys):
+    path, value, named = OVERFLOWS[case]
+    doc = demo_scenario()
+    _set_every(doc, path, value)
+    scenario = tmp_path / "scenario.json"
+    write_scenario(doc, scenario)
+    out = tmp_path / "run"
+    assert main([stage, "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["sites", "dbgen", "optimize", "report"])
@@ -670,6 +717,33 @@ def test_report_refuses_a_damaged_archive(workspace, damage, capsys):
     assert main(["report"] + base) == 3
     assert "rerun optimize" in capsys.readouterr().err
     assert not (out / "solutions.csv").exists()
+
+
+def _listing(directory) -> dict:
+    """Every file below `directory` and its bytes."""
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("gene", [9, -1])
+def test_report_refuses_a_gene_outside_the_site_plan(tmp_path, gene, capsys):
+    scenario = tmp_path / "scenario.json"
+    write_scenario(demo_scenario(), scenario)
+    out = tmp_path / "run"
+    base = ["--scenario", str(scenario), "--out", str(out)]
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA) == 0
+    assert main(["report"] + base) == 0
+    lines = (out / "archive.csv").read_text().splitlines()
+    edited = _edit_row(lambda cells: cells[:3] + [
+        ";".join([str(gene)] + cells[3].split(";")[1:])])(lines)
+    archive = tmp_path / "edited.csv"
+    archive.write_text("\n".join(edited) + "\n")
+    before = _listing(out)
+    capsys.readouterr()
+    assert main(["report", "--archive", str(archive)] + base) == 3
+    assert "rerun optimize" in capsys.readouterr().err
+    assert _listing(out) == before
 
 
 def test_outputs_carry_hash_and_config(workspace):

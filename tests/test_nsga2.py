@@ -23,9 +23,9 @@ def test_dominates_basics():
 
 def test_sort_chain_and_duplicates():
     chain = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)]
-    assert fast_nondominated_sort(chain) == [0, 1, 2]
+    assert fast_nondominated_sort(chain, len(chain)) == [0, 1, 2]
     same = [(1.0, 2.0, 3.0)] * 5
-    assert fast_nondominated_sort(same) == [0] * 5
+    assert fast_nondominated_sort(same, len(same)) == [0] * 5
 
 
 @st.composite
@@ -42,7 +42,7 @@ def populations(draw):
 @settings(max_examples=40)
 @given(populations())
 def test_sort_matches_brute_force_on_random_populations(objs):
-    assert fast_nondominated_sort(objs) == nondominated_ranks(objs)
+    assert fast_nondominated_sort(objs, len(objs)) == nondominated_ranks(objs)
 
 
 def test_sort_with_keep_on_a_chain():
@@ -402,7 +402,7 @@ def test_hypervolume_matches_monte_carlo(points):
 def test_archive_from_population_dedup():
     genes = [np.array([1, 0]), np.array([1, 0]), np.array([0, 1]), (1, 1)]
     objs = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)]
-    archive = pareto_archive(genes, objs, fast_nondominated_sort(objs))
+    archive = pareto_archive(genes, objs, fast_nondominated_sort(objs, len(objs)))
     # rank 0 only, one entry per chromosome, sorted by objectives
     assert [e.genes for e in archive] == [(0, 1), (1, 0)]
     assert [e.objectives for e in archive] == [objs[2], objs[0]]

@@ -13,7 +13,7 @@ from semeplan.propagation import (MapDatabase, fields_to_power_watts,
                                   reference_field,
                                   point_power_dbm, save_database,
                                   _sector_gain_dbi)
-from dbtools import see_contribution, site_powers
+from dbtools import in_memory, see_contribution, site_powers
 from semeplan.scenario import BtsSector, scenario_from_dict
 from semeplan.synthetic import demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE, watts_to_dbm
@@ -100,8 +100,8 @@ def test_reference_field_finite_and_shaped():
 
 
 def _db_for(sc, assignments, mode="coherent"):
-    return build_database(sc, reference_field(sc), assignments,
-                          incident_dbm=site_powers(sc), mode=mode)
+    return in_memory(build_database(sc, reference_field(sc), assignments,
+                                    incident_dbm=site_powers(sc), mode=mode))
 
 
 def _targets(sc, point):
@@ -393,7 +393,7 @@ def test_build_counts_each_entry_sites_walls_once(monkeypatch):
         return count_blocking_footprints(origin, targets, footprints)
 
     monkeypatch.setattr(propagation, "count_blocking_footprints", counting)
-    build_database(sc, reference, assignments, incident_dbm=incident)
+    in_memory(build_database(sc, reference, assignments, incident_dbm=incident))
     sites = {n for n, _ in assignments}
     assert calls == [sc.grid.nx * sc.grid.ny] * len(sites)
 
@@ -426,7 +426,7 @@ def test_build_radiates_each_entry_site_once(monkeypatch):
     reference = reference_field(sc)
     incident = site_powers(sc)
     calls = _count_radiate_calls(monkeypatch)
-    build_database(sc, reference, assignments, incident_dbm=incident)
+    in_memory(build_database(sc, reference, assignments, incident_dbm=incident))
     sites = sorted({n for n, _ in assignments})
     assert len(sites) == 5
     assert calls == [sum(1 for key in assignments if key[0] == n) * sc.time_instants
@@ -435,19 +435,20 @@ def test_build_radiates_each_entry_site_once(monkeypatch):
 
 def test_streamed_build_radiates_each_site_when_its_first_entry_is_read(monkeypatch):
     # Nothing is radiated before an entry is read; read in directory order,
-    # every site radiates once, into the in-memory build's values.
+    # every site radiates once, into the values each entry has on its own.
     sc = scenario_from_dict(demo_scenario())
     assignments = _every_kind_everywhere(sc)
     incident = site_powers(sc)
-    db = build_database(sc, reference_field(sc), assignments, incident_dbm=incident)
+    alone = {key: see_contribution(sc, sc.sites[key[0]], sc.catalog[key[1] - 1], targets)
+             for key, targets in assignments.items()}
+    reference = reference_field(sc)
     calls = _count_radiate_calls(monkeypatch)
-    streamed = build_database(sc, db.reference, assignments, incident_dbm=incident,
-                              streamed=True)
+    streamed = build_database(sc, reference, assignments, incident_dbm=incident)
     assert len(calls) == 0
     assert list(streamed.entries) == sorted(assignments)
     assert len(streamed.entries) == len(assignments)
     for key in sorted(assignments):
-        assert streamed.entries[key].tobytes() == db.entries[key].tobytes()
+        assert streamed.entries[key].tobytes() == alone[key].tobytes()
     assert len(calls) == len({n for n, _ in assignments})
     with pytest.raises(KeyError):
         streamed.entries[(0, 99)]
@@ -470,9 +471,9 @@ def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):
              if {sc.catalog[s - 1].kind for s in sc.admissible_kind_values(n)}
              >= {"SP-EMS", "RP-EMS", "IAB"})
     incident = site_powers(sc)
-    build_database(sc, reference_field(sc),
-                   {key: v for key, v in _every_kind_everywhere(sc).items()
-                    if key[0] == n}, incident_dbm=incident)
+    in_memory(build_database(sc, reference_field(sc),
+                             {key: v for key, v in _every_kind_everywhere(sc).items()
+                              if key[0] == n}, incident_dbm=incident))
     (scenario, position, sources, points, walls, wall_loss_db), slabs = calls[-1]
     assert len({src.extra_path_m for src in sources}) == 2
     assert len(sources) == 2 * len(sc.admissible_kind_values(n))

@@ -13,8 +13,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "semeplan"
 
 NO_PIPELINE_CALLER = {
     "hypervolume": "front-quality measure for the acceptance tests",
-    "buildings_from_geojson": "turns map footprints into the buildings of a "
-                              "scenario document, before any stage runs",
     "demo_scenario": "bundled scenario: the demo town of scripts/run_demo.py",
     "write_scenario": "writes a bundled scenario to a file the CLI reads",
 }

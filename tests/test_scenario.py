@@ -1,11 +1,14 @@
 import copy
+import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semeplan.scenario import (ScenarioError, buildings_from_geojson,
-                               load_scenario, scenario_from_dict,
+from semeplan.scenario import (ScenarioError, load_scenario, scenario_from_dict,
                                scenario_to_dict)
 from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario, write_scenario
 
@@ -155,19 +158,28 @@ def test_parse_failure_names_file(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
-def test_geojson_conversion():
+def test_geojson_conversion(tmp_path):
+    # scripts/geojson_buildings.py prints the buildings of a scenario document
     doc = {"type": "FeatureCollection", "features": [
         {"type": "Feature",
          "geometry": {"type": "Polygon",
                       "coordinates": [[[0, 0], [10, 0], [10, 10], [0, 10],
                                        [0, 0]]]},
          "properties": {"height": 22.0}},
+        {"type": "Feature",
+         "geometry": {"type": "Polygon",
+                      "coordinates": [[[12, 0], [16, 0], [16, 4]]]},
+         "properties": {}},
         {"type": "Feature", "geometry": {"type": "Point", "coordinates": [1, 2]},
          "properties": {}},
     ]}
-    buildings = buildings_from_geojson(doc)
-    assert len(buildings) == 1
-    assert buildings[0]["height_m"] == 22.0
+    path = tmp_path / "footprints.geojson"
+    path.write_text(json.dumps(doc))
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "geojson_buildings.py"
+    printed = subprocess.run([sys.executable, str(script), str(path), "--height", "7"],
+                             check=True, capture_output=True, text=True, timeout=60)
+    buildings = json.loads(printed.stdout)
+    assert [b["height_m"] for b in buildings] == [22.0, 7.0]
     merged = dict(MINIMAL, buildings=buildings)
     sc = scenario_from_dict(merged)
     assert len(sc.buildings[0].footprint) == 4  # closing vertex dropped

@@ -2,16 +2,18 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semeplan.scenario import scenario_from_dict
 from semeplan.siteplanner import (FeasibilityRow, Roi, ase_radii, ase_region,
-                                  ase_site_verdict, build_rois, ems_region,
-                                  ems_site_verdict, max_single_hop_range,
+                                  build_rois, ems_region, max_single_hop_range,
                                   path_within_reach, qualify_sites,
                                   region_raster)
 from semeplan.synthetic import DEFAULT_CATALOG
 from semeplan.units import dbm_to_watts
+import siteplanner_oracle as oracle
 from dbtools import site_powers
+from siteplanner_oracle import ase_site_verdict, ems_site_verdict
 from toys import coverable_toy
 
 
@@ -320,3 +322,52 @@ def test_build_rois_time_matching():
     assert a.avg_barycenter[0] == pytest.approx((7.5 + 12.5) / 2.0)
     assert b.avg_barycenter == b.barycenters[0]
     assert c.target_points(1.5)[0][0] == pytest.approx(c.avg_barycenter[0])
+
+
+# Lattice coordinates shared by the base station (50, 50), the sites and the
+# region barycenters, so that a site often lines up with either; 3000 puts a
+# region out of every device's reach.
+_COORDS = [0.0, 10.0, 40.0, 50.0, 60.0, 90.0, 100.0]
+# Unit normals whose products with lattice directions are exact, so that a
+# normal is often exactly perpendicular to the direction to the base station
+# or to a region: along an axis when the site shares that coordinate, along
+# a diagonal when its offsets have equal size.
+_NORMALS = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+            [1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]
+
+
+@st.composite
+def site_layouts(draw):
+    """A two-instant scenario with facade and pole sites on the lattice,
+    regions, a threshold and the base station's power at every site."""
+    sites = []
+    for _ in range(draw(st.integers(0, 8))):
+        site = {"position": [draw(st.sampled_from(_COORDS)),
+                             draw(st.sampled_from(_COORDS)),
+                             draw(st.sampled_from([6.0, 12.0]))],
+                "mount": draw(st.sampled_from(["facade", "pole"]))}
+        if site["mount"] == "facade":
+            site["normal"] = draw(st.sampled_from(_NORMALS))
+        sites.append(site)
+    sector = {"azimuth_deg": 0.0, "downtilt_deg": 2.0, "tx_power_w": 20.0,
+              "max_gain_dbi": 16.3}
+    sc = scenario_from_dict({
+        "frequency_hz": 3.5e9,
+        "grid": {"origin": [0.0, 0.0], "spacing_m": 10.0, "nx": 11, "ny": 11,
+                 "height_m": 1.5},
+        "bts": {"position": [50.0, 50.0, 18.0],
+                "time_instants": [{"sectors": [sector]}, {"sectors": [sector]}]},
+        "buildings": [], "catalog": copy.deepcopy(DEFAULT_CATALOG), "sites": sites})
+    place = st.sampled_from(_COORDS + [3000.0])
+    rois = [_roi(draw(place), draw(place), index=w)
+            for w in range(1, draw(st.integers(1, 3)) + 1)]
+    power = st.sampled_from([-90.0, -66.0, -65.0, -61.0, -60.0, -40.0])
+    incident = np.array([[draw(power) for _ in sites] for _ in range(2)]).reshape(2, -1)
+    return sc, rois, draw(st.sampled_from([-65.0, -30.0, -15.0])), incident
+
+
+@given(site_layouts())
+def test_qualify_sites_equals_the_per_triple_oracle(layout):
+    sc, rois, pth_dbm, incident = layout
+    assert qualify_sites(sc, rois, pth_dbm, incident) \
+        == oracle.qualify_sites(sc, rois, pth_dbm, incident)
