@@ -20,17 +20,14 @@ REPRESENTATIVE_NAMES = ("best_coverage", "best_compromise",
                         "coverage_cost", "coverage_energy")
 
 
-class BlindSpot:
+class BlindSpot(NamedTuple):
     """Regions of the cells below the power threshold, per instant.
 
     `components[t]` holds the 8-connected regions of failing cells at t
     with at least the `min_cells` that `extract_blindspot` was given,
     labeled in row-major order of their first cell.
     """
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]):
-        self.components = components
+    components: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     @property
     def time_instants(self) -> int:

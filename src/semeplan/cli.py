@@ -9,6 +9,7 @@ lines, so reruns with one seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -360,7 +361,8 @@ class _OutDirError(ValueError):
     """An --out that cannot be made a directory: a config error."""
 
 
-class _OutDirLock:
+@contextlib.contextmanager
+def _out_dir_lock(out_dir: str):
     """Advisory lock; concurrent runs on one output directory are unsupported.
 
     Entering makes the output directory and its missing parents first, so a
@@ -370,52 +372,46 @@ class _OutDirLock:
     directories this run created are removed on exit, innermost first, up
     to the first one the run left non-empty.
     """
+    lock = os.path.join(out_dir, ".lock")
+    owned = False
+    created: list[str] = []  # outermost first
 
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.path = os.path.join(out_dir, ".lock")
-        self.owned = False
-        self.created: list[str] = []  # outermost first
-
-    def _make(self, path: str) -> None:
+    def make(path: str) -> None:
         """`os.makedirs(path, exist_ok=True)`, noting each directory it makes."""
         head = os.path.dirname(path.rstrip(os.sep))
         if head and not os.path.lexists(head):
-            self._make(head)
+            make(head)
         if not os.path.isdir(path):
             os.mkdir(path)
-            self.created.append(path)
+            created.append(path)
 
-    def __enter__(self):
+    try:
         try:
-            self._make(self.out_dir)
+            make(out_dir)
         except OSError as exc:
-            self.__exit__()
-            raise _OutDirError(f"--out {self.out_dir} is not a directory and "
+            raise _OutDirError(f"--out {out_dir} is not a directory and "
                                f"cannot be made one: {exc}") from exc
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            print(f"warning: {self.path} exists; another run may be active",
+            print(f"warning: {lock} exists; another run may be active",
                   file=sys.stderr)
         else:
-            self.owned = True
+            owned = True
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(str(os.getpid()))
-        return self
-
-    def __exit__(self, *exc):
-        if self.owned:
+        yield
+    finally:
+        if owned:
             try:
-                os.remove(self.path)
+                os.remove(lock)
             except OSError:
                 pass
-        for path in reversed(self.created):
+        for path in reversed(created):
             try:
                 os.rmdir(path)
             except OSError:  # the run wrote into it
                 break
-        return False
 
 
 def main(argv=None) -> int:
@@ -425,7 +421,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        with _OutDirLock(args.out):
+        with _out_dir_lock(args.out), np.errstate(all="ignore"):
             return args.run(args)
     except (ScenarioError, _OutDirError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,12 +146,9 @@ class GenerationStats(NamedTuple):
     best: tuple[float, float, float]  # per-objective minimum in the population
 
 
-class EvolveResult:
-    __slots__ = ("archive", "trace")
-
-    def __init__(self, archive: tuple[ArchiveEntry, ...], trace: list[GenerationStats]):
-        self.archive = archive
-        self.trace = trace
+class EvolveResult(NamedTuple):
+    archive: tuple[ArchiveEntry, ...]
+    trace: list[GenerationStats]
 
 
 class _Stream:

@@ -200,7 +200,9 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
     reconfigurable one re-aims per instant.  Repeaters forward with their
     own power when the backhaul power clears the sensitivity threshold;
     access-backhaul nodes radiate regardless, as regenerative micro cells.
-    Every (kind, instant) source of the site radiates in one call.
+    Every (kind, instant) source of the site radiates in one call.  Fields
+    that are not finite as the complex64 `mapdb.bin` stores raise
+    ScenarioError naming the site.
     """
     grid = scenario.grid
     points = grid.centers()
@@ -237,6 +239,10 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
             sources.append(_Source(power_w=power_w, gain_dbi=gain_dbi,
                                    extra_path_m=extra))
     values = _radiate(scenario, position, sources, points, walls, wall_loss_db)
+    if not np.isfinite(values.astype(np.complex64)).all():
+        raise ScenarioError(f"site at {site.position}: its field overflows the "
+                            "complex64 that mapdb.bin stores; check the catalog "
+                            "kinds it admits")
     return values.reshape(len(aimed_kinds), scenario.time_instants, 3,
                           grid.ny, grid.nx)
 
@@ -245,18 +251,15 @@ def _site_fields(scenario: Scenario, site: CandidateSite, incident_dbm: np.ndarr
 # Map database
 
 
-class MapDatabase:
+class MapDatabase(NamedTuple):
     """Reference and per-(site, kind) entry fields, each (T, 3, ny, nx)
     complex128, plus the header (`database_header`) saved with them.
 
     Entry keys are (site index 0-based, catalog gene value 1-based).
     """
-    __slots__ = ("reference", "entries", "header")
-
-    def __init__(self, reference: np.ndarray, entries: Mapping, header: dict):
-        self.reference = reference
-        self.entries = entries
-        self.header = header
+    reference: np.ndarray
+    entries: Mapping
+    header: dict
 
     @property
     def grid(self) -> GridSpec:

@@ -25,6 +25,10 @@ PASSIVE_KINDS = ("SP-EMS", "RP-EMS")
 ACTIVE_KINDS = ("SR", "IAB")
 KNOWN_KINDS = PASSIVE_KINDS + ACTIVE_KINDS
 
+# Every coordinate's magnitude stays below this, so the squared distance
+# between two points of a scenario is finite.
+COORDINATE_LIMIT_M = 1e150
+
 
 class ScenarioError(ValueError):
     """Malformed scenario file or violated invariant."""
@@ -60,11 +64,19 @@ def _known(raw: Mapping, keys: tuple[str, ...], what: str) -> None:
             raise ScenarioError(f"{what}: unknown key {key!r}")
 
 
+def _bounded(coords: tuple[float, ...], what: str) -> tuple[float, ...]:
+    """`coords`, else a ScenarioError naming `what` if one reaches the limit."""
+    if any(abs(c) >= COORDINATE_LIMIT_M for c in coords):
+        raise ScenarioError(f"{what}: coordinates must lie within "
+                            f"±{COORDINATE_LIMIT_M:g} m, got {coords!r}")
+    return coords
+
+
 def _point(values, dims: int, what: str) -> tuple[float, ...]:
     coords = values if isinstance(values, (list, tuple)) else ()
     if len(coords) != dims:
         raise ScenarioError(f"{what}: expected a {dims}D point, got {values!r}")
-    return tuple(_finite(c, what) for c in coords)
+    return _bounded(tuple(_finite(c, what) for c in coords), what)
 
 
 class Building(NamedTuple):
@@ -361,6 +373,7 @@ def _parse_grid(raw: Mapping) -> GridSpec:
         raise ScenarioError(f"grid: spacing_m must be > 0, got {grid.spacing}")
     if grid.nx < 1 or grid.ny < 1:
         raise ScenarioError("grid: nx and ny must be >= 1")
+    _bounded((*grid.bounds, grid.height), "grid corners and height_m")
     return grid
 
 

@@ -25,8 +25,7 @@ def site_powers(scenario, wall_loss_db=DEFAULT_WALL_LOSS_DB) -> np.ndarray:
 def in_memory(db):
     """`db` with every entry computed and kept: `build_database` computes a
     site's entries when they are read and keeps only the last site's."""
-    db.entries = dict(db.entries)
-    return db
+    return db._replace(entries=dict(db.entries))
 
 
 def see_contribution(scenario, site, kind, roi_targets, *,

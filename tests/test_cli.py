@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import semeplan
 from semeplan import analysis, cli, propagation, siteplanner
@@ -15,7 +15,7 @@ from semeplan.scenario import load_scenario
 from semeplan.synthetic import demo_scenario, write_scenario
 from dbtools import in_memory, with_header, with_nan
 from toys import coverable_toy
-from test_scenario import LEAF_MUTATIONS, _DELETE, _leaf_paths
+from test_scenario import DEMO, LEAF_MUTATIONS, _DELETE, _leaf_paths
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
            "--mutation-rate", "0.2"]
@@ -457,11 +457,10 @@ def _set_every(node, path, value) -> None:
 
 
 # Each case sets every leaf at a path of the demo document to a finite but
-# absurd value, which makes a field or power the first stage derives overflow;
-# the error names the element.  The sector powers overflow only as the
-# complex64 every stage rounds the reference to, so no cell would be blind.
-# A catalog aperture_m2 of 1e300 is not here: its fields overflow only as the
-# complex64 that save_database writes, which refuses them (exit 4).
+# absurd value, which the scenario reader refuses or which makes a field or
+# power a stage derives overflow; the error names the element.  The sector
+# powers overflow only as the complex64 every stage rounds the reference to,
+# so no cell would be blind.
 OVERFLOWS = {
     "sector_tx_power_w": (["bts", "time_instants", "*", "sectors", "*", "tx_power_w"],
                           1e300, "tx_power_w"),
@@ -471,15 +470,23 @@ OVERFLOWS = {
     "catalog_sensitivity_dbm": (["catalog", "*", "sensitivity_dbm"], -1e300,
                                 "catalog kind SR"),
     "catalog_tx_power_dbm": (["catalog", "*", "tx_power_dbm"], 1e6, "catalog kind SR"),
-    "grid_spacing_m": (["grid", "spacing_m"], 1e300, "radiated from (8.0, 68.0, 18.0)"),
-    "grid_height_m": (["grid", "height_m"], 1e300, "radiated from (8.0, 68.0, 18.0)"),
-    "bts_height": (["bts", "position", 2], 1e300, "radiated from (8.0, 68.0, 1e+300)"),
+    "grid_spacing_m": (["grid", "spacing_m"], 1e300, "grid corners and height_m"),
+    "grid_height_m": (["grid", "height_m"], 1e300, "grid corners and height_m"),
+    "grid_nx": (["grid", "nx"], 1e300, "grid corners and height_m"),
+    "bts_height": (["bts", "position", 2], 1e300, "bts position"),
+    "footprint_vertex": (["buildings", 0, "footprint", 0, 0], -1e300, "building 0"),
+    "facade_normal": (["sites", 0, "normal", 0], 1e300, "site 0 normal"),
+    "catalog_aperture_m2": (["catalog", "*", "aperture_m2"], 1e300,
+                            "site at (95.0, 150.2, 8.0)"),
 }
+# Fields that overflow only as the complex64 mapdb.bin stores: sites passes.
+DBGEN_ONLY = {"catalog_aperture_m2"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("case", sorted(OVERFLOWS))
-@pytest.mark.parametrize("stage", ["sites", "dbgen"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stage, case", [
+    (stage, case) for stage in ("sites", "dbgen") for case in sorted(OVERFLOWS)
+    if stage == "dbgen" or case not in DBGEN_ONLY])
 def test_overflowing_scenario_value_is_config_error(tmp_path, case, stage, capsys):
     path, value, named = OVERFLOWS[case]
     doc = demo_scenario()
@@ -488,8 +495,43 @@ def test_overflowing_scenario_value_is_config_error(tmp_path, case, stage, capsy
     write_scenario(doc, scenario)
     out = tmp_path / "run"
     assert main([stage, "--scenario", str(scenario), "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+DEMO_NUMBERS = [path for path in _leaf_paths(DEMO)
+                if type(_leaf(DEMO, path)) in (int, float)]
+
+
+def _files(out) -> dict:
+    return {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+
+# Any number of the demo document at +-1e300: each stage runs or refuses the
+# document, and a refusal writes nothing.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(DEMO_NUMBERS), value=st.sampled_from([1e300, -1e300]))
+def test_extreme_scenario_number_exits_0_or_2(tmp_path_factory, path, value):
+    doc = demo_scenario()
+    _set_every(doc, path, value)
+    scenario = tmp_path_factory.mktemp("extreme") / "scenario.json"
+    write_scenario(doc, scenario)
+    out = scenario.parent / "run"
+    for stage in ("sites", "dbgen"):
+        before = _files(out)
+        code = main([stage, "--scenario", str(scenario), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert _files(out) == before
 
 
 @pytest.mark.parametrize("stage", ["sites", "dbgen", "optimize", "report"])
@@ -582,6 +624,30 @@ def test_pipeline_and_reports(workspace):
     assert (out / "reduction.csv").exists()
     assert (out / "map_best_coverage.csv").exists()
     assert (out / "cdf_best_coverage_t1.csv").exists()
+
+
+def test_an_instant_without_a_blind_spot_is_skipped(tmp_path):
+    # The middle instant's sector covers every cell.  Its normalized deficit
+    # would be 0/0, its reduction 0/0 m2 and its CDF would have no values.
+    doc = coverable_toy()
+    sector = doc["bts"]["time_instants"][0]["sectors"][0]
+    doc["bts"]["time_instants"].insert(1, {"sectors": [dict(sector, tx_power_w=1e3)]})
+    scenario = tmp_path / "scenario.json"
+    write_scenario(doc, scenario)
+    out = tmp_path / "run"
+    base = ["--scenario", str(scenario), "--out", str(out), "--mode", "incoherent"]
+    for stage in (["sites"], ["dbgen"], ["optimize"] + FAST_GA, ["report"]):
+        assert main(stage + base) == 0
+    db = propagation.load_database(out / "mapdb.bin")
+    _, blindspot = analysis.reference_blindspot(db.reference, db.wavelength, -65.0)
+    assert [len(cells) > 0 for cells in blindspot.cells_per_t()] == [True, False, True]
+    _, archive = analysis.read_archive_csv(out / "archive.csv")
+    assert archive and all(entry.objectives[0] >= 0.0 for entry in archive)
+    assert sorted(path.name for path in out.glob("cdf_*.csv")) == sorted(
+        f"cdf_{name}_t{t}.csv" for name in analysis.REPRESENTATIVE_NAMES
+        for t in (1, 3))
+    instants = {row.split(",")[2] for row in read_rows(out / "reduction.csv")[1:]}
+    assert instants == {"1", "3"}
 
 
 def test_optimize_same_seed_identical_archive(workspace, tmp_path):
@@ -908,6 +974,13 @@ def python(*args, **kwargs) -> subprocess.CompletedProcess:
 def test_cli_starts_without_scipy():
     # scipy is a test dependency only; importing it costs every stage ~0.4 s.
     python("-c", "import semeplan.cli, sys; assert 'scipy' not in sys.modules",
+           check=True)
+
+
+def test_package_root_imports_nothing():
+    # Importing a submodule runs the root first; it adds nothing to that.
+    python("-c", "import semeplan, sys; assert not [name for name in sys.modules "
+           "if name == 'numpy' or name.startswith(('numpy.', 'semeplan.'))]",
            check=True)
 
 

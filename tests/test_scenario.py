@@ -95,10 +95,27 @@ def test_sector_count_mismatch_rejected():
         tx_power_w=0.0), "tx_power"),
     (lambda d: d["bts"]["time_instants"][0]["sectors"][0].update(
         az_beamwidth_deg=200.0), "beamwidth"),
+    (lambda d: d["buildings"][0].update(footprint=[]), "missing footprint"),
+    (lambda d: d["buildings"][0].update(footprint=[[0, 0], [5, 0]]),
+     "at least 3 vertices"),
+    (lambda d: d["bts"].update(time_instants=[]), "at least one time instant"),
+    (lambda d: d["bts"]["time_instants"][0].update(sectors=[]),
+     "at least one sector"),
+    (lambda d: d.update(catalog=[dict(DEFAULT_CATALOG[0], tx_power_dbm=30.0)]),
+     "must not define tx_power_dbm"),
+    (lambda d: d.update(catalog=[dict(DEFAULT_CATALOG[0], aperture_m2=0.0)]),
+     "aperture_m2 > 0"),
+    (lambda d: d.update(sites=[{"position": [5.0, 5.0, 4.0], "mount": "facade",
+                                "normal": [0.0, 0.0, 0.0]}]), "nonzero"),
+    (lambda d: d.update(sites=[{"position": [5.0, 5.0, 4.0], "mount": "pole",
+                                "admissible_kinds": ["UAV"]}]),
+     "unknown admissible kind"),
+    # A replacement document: not a JSON object
+    (lambda d: [d], "must be a JSON object"),
 ])
 def test_invariant_violations_rejected(mutate, match):
     doc = copy.deepcopy(MINIMAL)
-    mutate(doc)
+    doc = mutate(doc) or doc
     with pytest.raises(ScenarioError, match=match):
         scenario_from_dict(doc)
 
