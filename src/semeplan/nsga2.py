@@ -1,8 +1,10 @@
 """Integer-encoded elitist NSGA-II and Pareto-front utilities.
 
-Generational loop: binary tournament selection on (rank, crowding), uniform
-or one-point crossover on the integer string, per-gene mutation resampling
-from the feasible alphabet, then mu+lambda survivor selection.  Fully
+Generational loop: binary tournament selection, uniform or one-point
+crossover on the integer string, per-gene mutation resampling from the
+feasible alphabet, then mu+lambda survivor selection.  Survivors are kept in
+crowded-comparison order (front, then crowding, then index), and a
+tournament goes to the contestant at the lower position.  Fully
 reproducible from the seed.
 """
 from __future__ import annotations
@@ -230,32 +232,33 @@ def _contestant_draw(stream: _Stream, size: int) -> tuple[int, int, int, int]:
     return a1, (b1 if b1 != a1 else size - 1), a2, (b2 if b2 != a2 else size - 1)
 
 
-def _rank_and_crowd(objectives, keep):
-    """Front index and crowding of each member.
+def _ranked(objectives, keep) -> tuple[list[int], list[int]]:
+    """Members in crowded-comparison order, and each member's front index.
 
-    Fronts are peeled and crowding computed only as far as the best `keep`
-    members; crowding is left at 0.0 beyond them.  Survivor selection never
-    reaches a later front, so neither could change a choice.
+    The order is by front, then by crowding, largest first, then by index
+    (Deb et al. 2002).  Fronts are peeled and crowded only until the order
+    holds `keep` members; survivor selection never reaches a later one.
     """
     ranks = fast_nondominated_sort(objectives, keep)
-    crowding = [0.0] * len(objectives)
     fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for i, r in enumerate(ranks):
         fronts[r].append(i)
+    order: list[int] = []
     for members in fronts:
-        if keep <= 0:
+        if len(order) >= keep:
             break
         dists = crowding_distance([objectives[i] for i in members])
-        for i, d in zip(members, dists):
-            crowding[i] = d
-        keep -= len(members)
-    return ranks, crowding
+        order += [i for _, i in sorted(zip([-d for d in dists], members))]
+    return order, ranks
 
 
-def _stats(generation, genes_list, objectives, ranks) -> GenerationStats:
-    front_genes = {genes_list[i] for i, r in enumerate(ranks) if r == 0}
-    return GenerationStats(generation=generation, front_size=len(front_genes),
-                           best=tuple(map(min, zip(*objectives))))
+def _stats(generation, population, ranks) -> GenerationStats:
+    """Front 0 of `population`: its distinct chromosomes, and each
+    objective's minimum, which lies on front 0 when objectives are finite."""
+    front = [population[i] for i, r in enumerate(ranks) if r == 0]
+    return GenerationStats(generation=generation,
+                           front_size=len({g for g, _ in front}),
+                           best=tuple(map(min, zip(*(o for _, o in front)))))
 
 
 def evolve(config: GaConfig, evaluator: Callable,
@@ -271,9 +274,10 @@ def evolve(config: GaConfig, evaluator: Callable,
     that pass the same dict with the same evaluator share their scores, and
     a chromosome scored in one is not scored again in another.
     `alphabets[n]` lists the feasible gene values at site n (0 is always
-    added).  Each parent is the winner of a binary tournament on (rank,
-    crowding).  The archive is the deduplicated rank-0 set of the last
-    combined parent+offspring population.
+    added).  Each parent is the winner of a binary tournament on the
+    crowded-comparison order.  Each trace row reads front 0 of its
+    generation's combined parent+offspring population, and the archive is
+    the deduplicated front 0 of the last one.
     """
     stream = _Stream(config.seed)
     random, randoms, below = stream.random, stream.randoms, stream.below
@@ -300,9 +304,6 @@ def evolve(config: GaConfig, evaluator: Callable,
             del memo[next(iter(memo))]
         return scored
 
-    def winner(a, b):
-        return a if (ranks[a], -crowding[a], a) < (ranks[b], -crowding[b], b) else b
-
     def mutate(genes):
         for n, u in enumerate(randoms(n_genes)):
             if u < config.mutation_rate:
@@ -325,16 +326,20 @@ def evolve(config: GaConfig, evaluator: Callable,
                  for _ in range(size)]
     pop_genes[0] = (0,) * n_genes  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
-    ranks, crowding = _rank_and_crowd([o for _, o in pop], size)
-    trace = [_stats(0, [g for g, _ in pop], [o for _, o in pop], ranks)]
+    order, ranks = _ranked([o for _, o in pop], size)
+    trace = [_stats(0, pop, ranks)]
+    # a tournament goes to the member placed first in crowded-comparison
+    # order; survivors are kept in that order, so from generation 2 on a
+    # member's place is its position
+    place = {i: p for p, i in enumerate(order)}
 
-    combined, comb_ranks = pop, ranks
+    combined = pop
     for generation in range(1, config.iterations + 1):
         offspring = []
         for _ in range(size // 2):
             a1, b1, a2, b2 = _contestant_draw(stream, size)
-            pa = pop[winner(a1, b1)][0]
-            pb = pop[winner(a2, b2)][0]
+            pa = pop[a1 if place[a1] < place[b1] else b1][0]
+            pb = pop[a2 if place[a2] < place[b2] else b2][0]
             if random() < CROSSOVER_RATE:
                 ca, cb = cross(pa, pb)
             else:
@@ -342,20 +347,13 @@ def evolve(config: GaConfig, evaluator: Callable,
             offspring.append(evaluate(mutate(ca), generation))
             offspring.append(evaluate(mutate(cb), generation))
         combined = pop + offspring
-        comb_objs = [o for _, o in combined]
-        comb_ranks, comb_crowd = _rank_and_crowd(comb_objs, size)
-        order = sorted(range(len(combined)),
-                       key=lambda i: (comb_ranks[i], -comb_crowd[i], i))
-        selected = order[:size]
-        pop = [combined[i] for i in selected]
-        # the survivors' combined-population ranks drive the next tournament
-        ranks = [comb_ranks[i] for i in selected]
-        crowding = [comb_crowd[i] for i in selected]
-        trace.append(_stats(generation, [g for g, _ in combined], comb_objs,
-                            comb_ranks))
+        order, ranks = _ranked([o for _, o in combined], size)
+        pop = [combined[i] for i in order[:size]]
+        place = range(size)
+        trace.append(_stats(generation, combined, ranks))
 
     archive = pareto_archive([g for g, _ in combined], [o for _, o in combined],
-                             comb_ranks)
+                             ranks)
     return EvolveResult(archive=archive, trace=trace)
 
 

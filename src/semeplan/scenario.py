@@ -374,6 +374,9 @@ def _parse_grid(raw: Mapping) -> GridSpec:
     if grid.nx < 1 or grid.ny < 1:
         raise ScenarioError("grid: nx and ny must be >= 1")
     _bounded((*grid.bounds, grid.height), "grid corners and height_m")
+    if grid.nx * grid.ny > np.iinfo(np.intp).max:
+        raise ScenarioError(f"grid: nx * ny = {grid.nx * grid.ny:.3g} cells, more "
+                            f"than an array can index ({np.iinfo(np.intp).max})")
     return grid
 
 

@@ -104,15 +104,19 @@ def build_rois(components_per_t: Sequence[Sequence[Sequence[tuple[int, int]]]],
 # Region predicates
 
 
+def _reach(scenario: Scenario, eirp_w: float, p_min_dbm: float) -> float:
+    """Free-space distance (m) at which `eirp_w` falls to `p_min_dbm`."""
+    p_min_w = float(dbm_to_watts(p_min_dbm))
+    return scenario.wavelength / (4.0 * np.pi) * np.sqrt(eirp_w / p_min_w)
+
+
 def max_single_hop_range(scenario: Scenario, pth_dbm: float) -> float:
     """Largest total bounce path (m) that still meets the power threshold.
 
     Free-space budget with the maximum sector gain and transmit power.
     """
     g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
-    p_th = float(dbm_to_watts(pth_dbm))
-    return scenario.wavelength / (4.0 * np.pi) * np.sqrt(
-        scenario.bts.max_tx_power_w * g_tx / p_th)
+    return _reach(scenario, scenario.bts.max_tx_power_w * g_tx, pth_dbm)
 
 
 def path_within_reach(points, focus_a, focus_b, reach: float) -> np.ndarray:
@@ -132,12 +136,10 @@ def ems_region(scenario: Scenario, roi: Roi,
     base station -> point -> region barycenter fits the range budget.
     """
     reach = max_single_hop_range(scenario, pth_dbm)
-    focus_a = np.asarray(scenario.bts.position, dtype=float)
-    bx, by = roi.avg_barycenter
-    focus_b = np.array([bx, by, scenario.grid.height])
+    focus_b = (*roi.avg_barycenter, scenario.grid.height)
 
     def inside(points) -> np.ndarray:
-        return path_within_reach(points, focus_a, focus_b, reach)
+        return path_within_reach(points, scenario.bts.position, focus_b, reach)
 
     return inside
 
@@ -150,16 +152,13 @@ def ase_radii(scenario: Scenario, kind: SeeType,
     """
     if not kind.is_active:
         raise ValueError(f"ase_radii needs an active kind, got {kind.kind}")
-    lam = scenario.wavelength
     try:
         g_ase = 10.0 ** (kind.gain_dbi / 10.0)
         g_tx = 10.0 ** (scenario.bts.max_gain_dbi / 10.0)
-        p_sense = float(dbm_to_watts(kind.sensitivity_dbm))
-        p_th = float(dbm_to_watts(pth_dbm))
-        p_ase = float(dbm_to_watts(kind.tx_power_dbm))
-        rho_bts = lam / (4.0 * np.pi) * np.sqrt(
-            scenario.bts.max_tx_power_w * g_tx * g_ase / p_sense)
-        rho_roi = lam / (4.0 * np.pi) * np.sqrt(p_ase * g_ase / p_th)
+        rho_bts = _reach(scenario, scenario.bts.max_tx_power_w * g_tx * g_ase,
+                         kind.sensitivity_dbm)
+        rho_roi = _reach(scenario, float(dbm_to_watts(kind.tx_power_dbm)) * g_ase,
+                         pth_dbm)
     except (OverflowError, ZeroDivisionError):
         rho_bts = rho_roi = np.inf
     if not np.isfinite([rho_bts, rho_roi]).all():

@@ -318,6 +318,11 @@ def _float_nx(header):
     header["grid"]["nx"] = float(header["grid"]["nx"])
 
 
+def _uncountable_nx(header):
+    # more cells than an array can index, the far corner still in bounds
+    header["grid"]["nx"] = 2 ** 62
+
+
 def _wavelength_text(header):
     header["wavelength_m"] = str(header["wavelength_m"])
 
@@ -362,6 +367,7 @@ DAMAGES = {
     "bad_plan": lambda blob: with_header(blob, _spoil_gene),
     "nan_grid": with_nan,
     "nx_float": lambda blob: with_header(blob, _float_nx),
+    "nx_uncountable": lambda blob: with_header(blob, _uncountable_nx),
     "wavelength_text": lambda blob: with_header(blob, _wavelength_text),
     "duplicate_entry": lambda blob: with_header(blob, _duplicate_entry),
     "grid_spacing": lambda blob: with_header(blob, _wider_spacing),
@@ -473,6 +479,9 @@ OVERFLOWS = {
     "grid_spacing_m": (["grid", "spacing_m"], 1e300, "grid corners and height_m"),
     "grid_height_m": (["grid", "height_m"], 1e300, "grid corners and height_m"),
     "grid_nx": (["grid", "nx"], 1e300, "grid corners and height_m"),
+    # the far corner stays inside the coordinate bound, the cell count does not
+    "grid_nx_1e149": (["grid", "nx"], 1e149, "grid: nx * ny"),
+    "grid_ny_1e100": (["grid", "ny"], 1e100, "grid: nx * ny"),
     "bts_height": (["bts", "position", 2], 1e300, "bts position"),
     "footprint_vertex": (["buildings", 0, "footprint", 0, 0], -1e300, "building 0"),
     "facade_normal": (["sites", 0, "normal", 0], 1e300, "site 0 normal"),

@@ -151,6 +151,11 @@ def table_evaluator(seed, n_genes):
 # single-value alphabets: initial genes and mutations draw nothing
 @example(alphabets=[[], []], half_population=2, iterations=4, mutation_rate=1.0,
          seed=11, crossover="uniform")
+# generation 1 draws initial members 6 and 3, distinct chromosomes that tie on
+# front 0 and crowding 17/15: the lower index wins, and the other winner
+# changes the trace
+@example(alphabets=[[1, 2, 3]] * 3, half_population=4, iterations=4, mutation_rate=0.2,
+         seed=240, crossover="uniform")
 def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations,
                                           mutation_rate, seed, crossover):
     # the oracle draws each tournament with `rng.choice` on numpy chromosomes;
