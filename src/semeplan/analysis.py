@@ -186,12 +186,6 @@ def reduction_stats(ref_power: np.ndarray, new_power: np.ndarray,
 # Report tables
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_solution_table(representatives: Mapping[str, ArchiveEntry],
                          catalog: Sequence[SeeType], path,
                          header_lines: Sequence[str] = (),
@@ -207,11 +201,11 @@ def write_solution_table(representatives: Mapping[str, ArchiveEntry],
     for name, entry in representatives.items():
         deployed = [catalog[s - 1].kind for s in entry.genes if s > 0]
         cost, energy = deployment_totals(entry.genes, catalog)
-        rows.append([name, _fmt(entry.objectives[0]), coverage_units,
-                     _fmt(entry.objectives[1]), _fmt(entry.objectives[2]),
+        rows.append([name, repr(entry.objectives[0]), coverage_units,
+                     repr(entry.objectives[1]), repr(entry.objectives[2]),
                      str(len(deployed))]
                     + [str(deployed.count(k)) for k in kinds]
-                    + [_fmt(cost), _fmt(energy),
+                    + [repr(cost), repr(energy),
                        ";".join(str(g) for g in entry.genes)])
     write_csv(path, header_lines, columns, rows)
 
@@ -226,17 +220,17 @@ def write_reduction_table(stats_by_solution: Mapping[str, Sequence[RoiReduction]
     rows = []
     for name, stats in stats_by_solution.items():
         for r in stats:
-            rows.append([name, str(r.roi), str(r.t + 1), _fmt(r.area_ref_m2),
-                         _fmt(r.area_m2), _fmt(r.reduction_pct),
-                         _fmt(r.gain_min_db), _fmt(r.gain_max_db),
-                         _fmt(r.gain_avg_db), _fmt(-r.gain_max_db),
-                         _fmt(-r.gain_min_db), _fmt(-r.gain_avg_db)])
+            rows.append([name, str(r.roi), str(r.t + 1), repr(r.area_ref_m2),
+                         repr(r.area_m2), repr(r.reduction_pct),
+                         repr(r.gain_min_db), repr(r.gain_max_db),
+                         repr(r.gain_avg_db), repr(-r.gain_max_db),
+                         repr(-r.gain_min_db), repr(-r.gain_avg_db)])
     write_csv(path, header_lines, columns, rows)
 
 
 def write_cdf_csv(thresholds: np.ndarray, probabilities: np.ndarray, path,
                   header_lines: Sequence[str] = ()) -> None:
-    rows = [[_fmt(float(p)), _fmt(float(c))]
+    rows = [[repr(float(p)), repr(float(c))]
             for p, c in zip(thresholds, probabilities)]
     write_csv(path, header_lines, ["power_dbm", "cdf"], rows)
 
@@ -246,7 +240,7 @@ _ARCHIVE_COLUMNS = ["coverage_deficit", "cost_fraction", "energy_fraction", "gen
 
 def write_archive_csv(archive: Sequence[ArchiveEntry], path,
                       header_lines: Sequence[str] = ()) -> None:
-    rows = [[_fmt(e.objectives[0]), _fmt(e.objectives[1]), _fmt(e.objectives[2]),
+    rows = [[repr(e.objectives[0]), repr(e.objectives[1]), repr(e.objectives[2]),
              ";".join(str(g) for g in e.genes)] for e in archive]
     write_csv(path, header_lines, _ARCHIVE_COLUMNS, rows)
 

@@ -123,23 +123,15 @@ class ArchiveEntry(NamedTuple):
     objectives: tuple[float, float, float]
 
 
-def pareto_archive(genes_list, objectives, ranks) -> tuple[ArchiveEntry, ...]:
-    """The members of a population at rank 0, one per chromosome, sorted by
-    (objectives, genes).  `ranks` are the front indices that
-    `fast_nondominated_sort` gives it, with any `keep`: front 0 is whole."""
-    seen = set()
-    entries = []
-    for i, rank in enumerate(ranks):
-        if rank != 0:
-            continue
-        genes = tuple(int(g) for g in genes_list[i])
-        if genes in seen:
-            continue
-        seen.add(genes)
-        entries.append(ArchiveEntry(genes=genes,
-                                    objectives=tuple(float(v) for v in objectives[i])))
-    entries.sort(key=lambda e: (e.objectives, e.genes))
-    return tuple(entries)
+def pareto_archive(front) -> tuple[ArchiveEntry, ...]:
+    """The archive of a population's front 0, given as its members' (genes,
+    objectives) pairs: one entry per chromosome, the first one met, sorted
+    by (objectives, genes)."""
+    entries = {}
+    for genes, objectives in front:
+        genes = tuple(int(g) for g in genes)
+        entries.setdefault(genes, ArchiveEntry(genes, tuple(map(float, objectives))))
+    return tuple(sorted(entries.values(), key=lambda e: (e.objectives, e.genes)))
 
 
 class GenerationStats(NamedTuple):
@@ -233,11 +225,12 @@ def _contestant_draw(stream: _Stream, size: int) -> tuple[int, int, int, int]:
 
 
 def _ranked(objectives, keep) -> tuple[list[int], list[int]]:
-    """Members in crowded-comparison order, and each member's front index.
+    """Members in crowded-comparison order, and front 0's indices, ascending.
 
     The order is by front, then by crowding, largest first, then by index
     (Deb et al. 2002).  Fronts are peeled and crowded only until the order
     holds `keep` members; survivor selection never reaches a later one.
+    Front 0 is always peeled whole: the trace row and the archive read it.
     """
     ranks = fast_nondominated_sort(objectives, keep)
     fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
@@ -249,13 +242,12 @@ def _ranked(objectives, keep) -> tuple[list[int], list[int]]:
             break
         dists = crowding_distance([objectives[i] for i in members])
         order += [i for _, i in sorted(zip([-d for d in dists], members))]
-    return order, ranks
+    return order, fronts[0]
 
 
-def _stats(generation, population, ranks) -> GenerationStats:
-    """Front 0 of `population`: its distinct chromosomes, and each
+def _stats(generation, front) -> GenerationStats:
+    """Front 0's (genes, objectives) pairs: its distinct chromosomes, and each
     objective's minimum, which lies on front 0 when objectives are finite."""
-    front = [population[i] for i, r in enumerate(ranks) if r == 0]
     return GenerationStats(generation=generation,
                            front_size=len({g for g, _ in front}),
                            best=tuple(map(min, zip(*(o for _, o in front)))))
@@ -326,14 +318,14 @@ def evolve(config: GaConfig, evaluator: Callable,
                  for _ in range(size)]
     pop_genes[0] = (0,) * n_genes  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
-    order, ranks = _ranked([o for _, o in pop], size)
-    trace = [_stats(0, pop, ranks)]
+    initial, first = _ranked([o for _, o in pop], size)
+    front = [pop[i] for i in first]
+    trace = [_stats(0, front)]
     # a tournament goes to the member placed first in crowded-comparison
     # order; survivors are kept in that order, so from generation 2 on a
     # member's place is its position
-    place = {i: p for p, i in enumerate(order)}
+    place = {i: p for p, i in enumerate(initial)}
 
-    combined = pop
     for generation in range(1, config.iterations + 1):
         offspring = []
         for _ in range(size // 2):
@@ -347,14 +339,13 @@ def evolve(config: GaConfig, evaluator: Callable,
             offspring.append(evaluate(mutate(ca), generation))
             offspring.append(evaluate(mutate(cb), generation))
         combined = pop + offspring
-        order, ranks = _ranked([o for _, o in combined], size)
+        order, first = _ranked([o for _, o in combined], size)
         pop = [combined[i] for i in order[:size]]
         place = range(size)
-        trace.append(_stats(generation, combined, ranks))
+        front = [combined[i] for i in first]
+        trace.append(_stats(generation, front))
 
-    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined],
-                             ranks)
-    return EvolveResult(archive=archive, trace=trace)
+    return EvolveResult(archive=pareto_archive(front), trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ class _StreamedEntries(Mapping):
 
     `radiate(n)` returns site n's entries as a dict.  Reading the keys in
     directory order, as `save_database` does, radiates every site once and
-    holds only the last site's fields.
+    holds only the last site's fields.  Membership is read from the keys
+    and radiates nothing.
     """
 
     def __init__(self, radiate: Callable[[int], dict], keys: list[tuple[int, int]]):
@@ -312,6 +313,9 @@ class _StreamedEntries(Mapping):
             self._site_entries = {}  # dropped before the next site radiates
             self._site_entries = self._radiate(key[0])
         return self._site_entries[key]
+
+    def __contains__(self, key):
+        return key in self._keys
 
     def __iter__(self):
         return iter(self._keys)

@@ -407,7 +407,8 @@ def test_hypervolume_matches_monte_carlo(points):
 def test_archive_from_population_dedup():
     genes = [np.array([1, 0]), np.array([1, 0]), np.array([0, 1]), (1, 1)]
     objs = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)]
-    archive = pareto_archive(genes, objs, fast_nondominated_sort(objs, len(objs)))
+    ranks = fast_nondominated_sort(objs, len(objs))
+    archive = pareto_archive([(g, o) for g, o, r in zip(genes, objs, ranks) if r == 0])
     # rank 0 only, one entry per chromosome, sorted by objectives
     assert [e.genes for e in archive] == [(0, 1), (1, 0)]
     assert [e.objectives for e in archive] == [objs[2], objs[0]]

@@ -71,6 +71,9 @@ def test_empty_blindspot_warns_and_returns_zero():
     db = tiny_db([[-30.0, -20.0]])
     with pytest.warns(UserWarning, match="empty"):
         assert coverage_deficit(db, [], [np.zeros((0, 2), int)], PTH) == 0.0
+    with pytest.warns(UserWarning, match="empty"):
+        evaluator = Evaluator(db, [np.zeros((0, 2), int)], PTH, CATALOG, SitePlan(()))
+    assert evaluator([])[1].coverage == 0.0
 
 
 def test_repair_zeroes_infeasible_genes():

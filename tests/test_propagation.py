@@ -193,6 +193,19 @@ def test_reconfigurable_skin_same_target_same_field():
     np.testing.assert_array_equal(contribution[0], contribution[1])
 
 
+def test_aim_at_the_site_itself_falls_back_to_the_x_boresight():
+    # A boresight of zero length points along +x: the fields equal, bit for
+    # bit, those of the same device aimed 10 m along +x
+    sc = scenario_from_dict(demo_scenario())
+    site = sc.sites[0]
+    at_site = _targets(sc, site.position)
+    along_x = _targets(sc, np.add(site.position, [10.0, 0.0, 0.0]))
+    for kind in sc.catalog:
+        fields = see_contribution(sc, site, kind, at_site)
+        assert np.abs(fields).max() > 0.0
+        assert fields.tobytes() == see_contribution(sc, site, kind, along_x).tobytes()
+
+
 def test_database_entry_counting(coverable):
     # 2 sites x 4 kinds feasible in the coverable toy
     db = coverable["dbs"]["coherent"]
@@ -281,6 +294,14 @@ def test_failed_save_keeps_previous_database(tmp_path, coverable):
         save_database(broken, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mapdb.bin"]
+
+
+def test_save_into_a_missing_directory_raises_and_leaves_no_file(tmp_path,
+                                                                coverable):
+    from semeplan.propagation import DatabaseError
+    with pytest.raises(DatabaseError, match="cannot write"):
+        save_database(coverable["dbs"]["coherent"], tmp_path / "missing" / "mapdb.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_destructive_interference_cancels_exactly():
@@ -452,6 +473,28 @@ def test_streamed_build_radiates_each_site_when_its_first_entry_is_read(monkeypa
     assert len(calls) == len({n for n, _ in assignments})
     with pytest.raises(KeyError):
         streamed.entries[(0, 99)]
+
+
+def test_streamed_membership_radiates_nothing_and_a_map_each_deployed_site_once(
+        monkeypatch):
+    # `in` reads the key directory; a power map over k deployed sites
+    # radiates each of them once, even though reading a site's entry drops
+    # the site read before it
+    sc = scenario_from_dict(demo_scenario())
+    assignments = _every_kind_everywhere(sc)
+    incident = site_powers(sc)
+    reference = reference_field(sc)
+    calls = _count_radiate_calls(monkeypatch)
+    streamed = build_database(sc, reference, assignments, incident_dbm=incident)
+    assert all(key in streamed.entries for key in assignments)
+    assert (0, 99) not in streamed.entries
+    assert len(calls) == 0
+    deployed = sorted({n for n, _ in assignments})[:2]
+    genes = [0] * len(sc.sites)
+    for n in deployed:
+        genes[n] = min(s for m, s in assignments if m == n)
+    power_map_watts(streamed, genes, 0)
+    assert len(calls) == len(deployed) == 2
 
 
 def test_slabs_sharing_a_phase_equal_lone_sources_bit_for_bit(monkeypatch):

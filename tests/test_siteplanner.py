@@ -322,6 +322,12 @@ def test_build_rois_time_matching():
     assert a.avg_barycenter[0] == pytest.approx((7.5 + 12.5) / 2.0)
     assert b.avg_barycenter == b.barycenters[0]
     assert c.target_points(1.5)[0][0] == pytest.approx(c.avg_barycenter[0])
+    # a component overlapping two chains joins the larger overlap, and the
+    # other chain vanishes
+    joined = comp_a_t1 + ((7, 7),)
+    a, b = build_rois([[comp_a_t0, comp_b_t0], [joined]], grid)
+    assert a.cells == (comp_a_t0, joined)
+    assert b.cells == (comp_b_t0, ())
 
 
 # Lattice coordinates shared by the base station (50, 50), the sites and the
