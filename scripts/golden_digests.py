@@ -4,7 +4,7 @@
 Two scenarios, four stages each (sites, dbgen, optimize, report):
   demo/           the bundled demo town, incoherent mode, 30 dB walls,
                   GA at population 10 for 2000 generations, seed 21
-  demo_restarts/  the same with --restarts 2 (report reads the seed-21 archive)
+  demo_restarts/  the same with --restarts 2 (seeds 21 and 22, one front)
   town/           the seeded 64x64 benchmark town (perfbench/town.py, seed 21),
                   coherent mode, GA for 40 generations, seed 21
 
@@ -41,7 +41,7 @@ PIPELINES = [
      DEMO_OPTIONS),
     ("demo_restarts", demo_scenario,
      [["sites"], ["dbgen"], ["optimize"] + DEMO_GA + ["--restarts", "2"],
-      ["report", "--archive", "{out}/archive_seed21.csv"]],
+      ["report"]],
      DEMO_OPTIONS),
     ("town", lambda: town.town(21),
      [["sites"], ["dbgen", "--force"], ["optimize", "--iters", "40", "--seed", "21"],
@@ -58,8 +58,7 @@ def run(out: str) -> int:
         with open(scenario, "w", encoding="utf-8") as fh:
             json.dump(document(), fh, indent=2, sort_keys=True)
         for stage in stages:
-            argv = [arg.format(out=run_dir) for arg in stage] \
-                + ["--scenario", scenario, "--out", run_dir] + options
+            argv = stage + ["--scenario", scenario, "--out", run_dir] + options
             with contextlib.redirect_stdout(io.StringIO()):
                 code = semeplan(argv)
             if code != 0:

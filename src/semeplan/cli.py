@@ -182,25 +182,22 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     evaluator = objectives.Evaluator(
         db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan,
         normalized=args.coverage_units == "normalized")
-    headers = _headers(scenario.content_hash(), args)
-    summary_rows = []
     memo: dict = {}  # one evaluator, so restarts share its scores
-    for ga in gas:
-        result = nsga2.evolve(ga, evaluator, plan.alphabets(), memo)
-        suffix = f"_seed{ga.seed}" if args.restarts > 1 else ""
-        archive_path = os.path.join(args.out, f"archive{suffix}.csv")
-        analysis.write_archive_csv(result.archive, archive_path,
-                                   headers + [f"seed={ga.seed}"])
-        trace_path = os.path.join(args.out, f"trace{suffix}.csv")
-        write_csv(trace_path, headers + [f"seed={ga.seed}"],
-                  ["generation", "front_size", "min_coverage", "min_cost",
-                   "min_energy"],
-                  ((str(row.generation), str(row.front_size),
-                    *(repr(b) for b in row.best)) for row in result.trace))
-        best = min(e.objectives[0] for e in result.archive)
-        summary_rows.append((ga.seed, len(result.archive), best))
-        print(f"optimize: seed {ga.seed} -> {len(result.archive)} front members, "
-              f"best coverage deficit {best:.6g}")
+    results = [nsga2.evolve(ga, evaluator, plan.alphabets(), memo) for ga in gas]
+    # one front: the non-dominated members of the union of the restarts' fronts
+    members = [entry for result in results for entry in result.archive]
+    ranks = nsga2.fast_nondominated_sort([e.objectives for e in members], 1)
+    archive = nsga2.pareto_archive(e for e, rank in zip(members, ranks) if rank == 0)
+    seeds = ",".join(str(ga.seed) for ga in gas)
+    headers = _headers(scenario.content_hash(), args) + [f"seed={seeds}"]
+    analysis.write_archive_csv(archive, os.path.join(args.out, "archive.csv"), headers)
+    write_csv(os.path.join(args.out, "trace.csv"), headers,
+              ["generation", "front_size", "min_coverage", "min_cost", "min_energy"],
+              ((str(row.generation), str(row.front_size), *(repr(b) for b in row.best))
+               for result in results for row in result.trace))
+    best = min(e.objectives[0] for e in archive)
+    print(f"optimize: seed {seeds} -> {len(archive)} front members, "
+          f"best coverage deficit {best:.6g}")
     manifest = {
         "scenario_hash": scenario.content_hash(),
         "config": json.loads(_echo(args)),
@@ -211,18 +208,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     with replaced_atomically(os.path.join(args.out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.restarts > 1:
-        write_csv(os.path.join(args.out, "restarts_summary.csv"), headers,
-                  ["seed", "front_size", "min_coverage"],
-                  ((str(seed), str(size), repr(best))
-                   for seed, size, best in summary_rows))
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     db, plan = _current_db(args, scenario)
-    archive_path = args.archive or os.path.join(args.out, "archive.csv")
+    archive_path = os.path.join(args.out, "archive.csv")
     if not os.path.isfile(archive_path):
         raise StaleCacheError(f"archive {archive_path} is missing or not a file; "
                               "run optimize first")
@@ -232,7 +224,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise StaleCacheError(f"archive {archive_path} is damaged: {exc}; "
                               "rerun optimize")
-    # The seed line is not compared: any restart's archive may be reported.
     if [line for line in written
             if line.split("=", 1)[0] in ("scenario_hash", "config")] != headers:
         raise StaleCacheError(f"archive {archive_path} was not written from this "
@@ -345,15 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generations (default 10000)")
     p_opt.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_opt.add_argument("--restarts", type=_number(int, 1), default=1,
-                       help="number of seeds to run (seed, seed+1, ...)")
+                       help="seeds to run (seed, seed+1, ...) into one front")
     p_opt.add_argument("--crossover", choices=("uniform", "one_point"),
                        default="uniform")
     p_opt.add_argument("--mutation-rate", type=float, default=0.005)
     p_rep = sub.add_parser("report", help="tables, maps and CDFs for a front")
     _add_common(p_rep)
     p_rep.set_defaults(run=cmd_report)
-    p_rep.add_argument("--archive", default=None,
-                       help="archive CSV (default <out>/archive.csv)")
     return parser
 
 

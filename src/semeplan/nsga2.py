@@ -124,9 +124,9 @@ class ArchiveEntry(NamedTuple):
 
 
 def pareto_archive(front) -> tuple[ArchiveEntry, ...]:
-    """The archive of a population's front 0, given as its members' (genes,
-    objectives) pairs: one entry per chromosome, the first one met, sorted
-    by (objectives, genes)."""
+    """The archive of a front, given as its members' (genes, objectives)
+    pairs: one entry per chromosome, the first one met, sorted by
+    (objectives, genes)."""
     entries = {}
     for genes, objectives in front:
         genes = tuple(int(g) for g in genes)

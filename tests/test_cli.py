@@ -591,10 +591,11 @@ def test_failed_run_removes_every_directory_it_created(workspace, case):
     assert [p.name for p in out.rglob("*")] == ["new1"]
 
 
-def test_report_archive_naming_a_directory_is_stale(workspace, tmp_path):
+def test_report_archive_naming_a_directory_is_stale(workspace):
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0
-    assert main(["report"] + base + ["--archive", str(tmp_path)]) == 3
+    (out / "archive.csv").mkdir()
+    assert main(["report"] + base) == 3
     assert not (out / "solutions.csv").exists()
 
 
@@ -668,22 +669,56 @@ def test_optimize_same_seed_identical_archive(workspace, tmp_path):
     assert (out / "archive.csv").read_bytes() == first
 
 
-def test_restarts_write_per_seed_archives(workspace):
+def test_restarts_write_one_archive_and_one_trace(workspace):
     scenario, out, base = workspace
     assert main(["dbgen"] + base) == 0
     assert main(["optimize"] + base + FAST_GA + ["--restarts", "3"]) == 0
-    for seed in (3, 4, 5):
-        assert (out / f"archive_seed{seed}.csv").exists()
-        assert (out / f"trace_seed{seed}.csv").exists()
-    rows = read_rows(out / "restarts_summary.csv")
-    assert len(rows) == 1 + 3
+    assert sorted(path.name for path in out.iterdir()) == [
+        "archive.csv", "manifest.json", "mapdb.bin", "trace.csv"]
+    for name in ("archive.csv", "trace.csv"):
+        assert "# seed=3,4,5\n" in (out / name).read_text()
+    assert len(read_rows(out / "trace.csv")) == 1 + 3 * (30 + 1)
+    assert main(["report"] + base) == 0
+
+
+def test_single_seed_run_after_restarts_leaves_its_own_files(workspace, tmp_path):
+    # Nothing a restarts run writes outlives a later single-seed run, and
+    # report reads that run's front.
+    scenario, out, base = workspace
+    assert main(["dbgen"] + base) == 0
+    assert main(["optimize"] + base + FAST_GA + ["--restarts", "2"]) == 0
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copyfile(out / "mapdb.bin", fresh / "mapdb.bin")
+    into_fresh = [str(fresh) if arg == str(out) else arg for arg in base]
+    for stage in (["optimize"] + FAST_GA, ["report"]):
+        assert main(stage + base) == 0
+        assert main(stage + into_fresh) == 0
+    assert _listing(out) == _listing(fresh)
+
+
+def nondominated_merge(rows):
+    """Archive rows of several fronts that no other row dominates, each
+    once, in (objectives, genes) order."""
+    parsed = {}
+    for row in rows:
+        *values, genes = row.split(",")
+        parsed[row] = tuple(map(float, values)), tuple(map(int, genes.split(";")))
+
+    def dominated(o):
+        return any(all(a <= b for a, b in zip(p, o)) and p != o
+                   for p, _ in parsed.values())
+
+    return sorted((row for row, (o, _) in parsed.items() if not dominated(o)),
+                  key=parsed.__getitem__)
 
 
 def test_restarts_score_each_distinct_chromosome_once(workspace, tmp_path,
                                                      monkeypatch):
     # The restarts share one memo: a chromosome scored by the first restart
-    # is not scored again by the second, and each restart still writes what
-    # a separate run with its seed writes.
+    # is not scored again by the second.  Each restart's block of the trace
+    # is what a separate run with its seed writes, and the archive is the
+    # non-dominated merge of the separate runs' archives.
     from semeplan.objectives import Evaluator
     scored = []
     score = Evaluator.__call__
@@ -699,16 +734,27 @@ def test_restarts_score_each_distinct_chromosome_once(workspace, tmp_path,
     assert main(["optimize"] + base + ga + ["--seed", "3", "--restarts", "2"]) == 0
     assert len(scored) == len(set(scored))
     restarts_scored = len(scored)
+    alone = {}
     for seed in (3, 4):
-        alone = tmp_path / f"alone{seed}"
-        alone.mkdir()
-        shutil.copyfile(out / "mapdb.bin", alone / "mapdb.bin")
-        single = ["--scenario", str(scenario), "--out", str(alone),
+        alone[seed] = tmp_path / f"alone{seed}"
+        alone[seed].mkdir()
+        shutil.copyfile(out / "mapdb.bin", alone[seed] / "mapdb.bin")
+        single = ["--scenario", str(scenario), "--out", str(alone[seed]),
                   "--mode", "incoherent"]
         assert main(["optimize"] + single + ga + ["--seed", str(seed)]) == 0
-        for name in ("archive", "trace"):
-            assert (out / f"{name}_seed{seed}.csv").read_bytes() \
-                == (alone / f"{name}.csv").read_bytes()
+
+    def split(path):
+        """The three `# ` lines and the column row, then the rows."""
+        lines = path.read_text().splitlines()
+        return lines[:4], lines[4:]
+
+    for name in ("trace.csv", "archive.csv"):
+        (head3, rows3), (head4, rows4) = (split(alone[seed] / name) for seed in (3, 4))
+        head, rows = split(out / name)
+        assert head == head3[:2] + ["# seed=3,4"] + head3[3:]
+        assert head4 == head3[:2] + ["# seed=4"] + head3[3:]
+        assert rows == (rows3 + rows4 if name == "trace.csv"
+                        else nondominated_merge(rows3 + rows4))
     # the separate runs ask for the same chromosomes, and score some twice
     separate = scored[restarts_scored:]
     assert set(separate) == set(scored[:restarts_scored])
@@ -809,14 +855,14 @@ def test_report_refuses_a_gene_outside_the_site_plan(tmp_path, gene, capsys):
     assert main(["dbgen"] + base) == 0
     assert main(["optimize"] + base + FAST_GA) == 0
     assert main(["report"] + base) == 0
-    lines = (out / "archive.csv").read_text().splitlines()
+    archive = out / "archive.csv"
     edited = _edit_row(lambda cells: cells[:3] + [
-        ";".join([str(gene)] + cells[3].split(";")[1:])])(lines)
-    archive = tmp_path / "edited.csv"
+        ";".join([str(gene)] + cells[3].split(";")[1:])])(
+            archive.read_text().splitlines())
     archive.write_text("\n".join(edited) + "\n")
     before = _listing(out)
     capsys.readouterr()
-    assert main(["report", "--archive", str(archive)] + base) == 3
+    assert main(["report"] + base) == 3
     assert "rerun optimize" in capsys.readouterr().err
     assert _listing(out) == before
 
@@ -824,13 +870,11 @@ def test_report_refuses_a_gene_outside_the_site_plan(tmp_path, gene, capsys):
 def test_outputs_carry_hash_and_config(workspace):
     scenario, out, base = workspace
     for stage in (["sites"], ["dbgen"],
-                  ["optimize"] + FAST_GA + ["--restarts", "2"],
-                  ["report", "--archive", str(out / "archive_seed3.csv")]):
+                  ["optimize"] + FAST_GA + ["--restarts", "2"], ["report"]):
         assert main(stage + base) == 0
     names = {path.name for path in out.glob("*.csv")}
     assert {"feasibility.csv", "region_ems_roi1.csv", "region_ase_roi1.csv",
-            "archive_seed3.csv", "trace_seed3.csv", "trace_seed4.csv",
-            "restarts_summary.csv", "solutions.csv", "reduction.csv",
+            "archive.csv", "trace.csv", "solutions.csv", "reduction.csv",
             "map_best_coverage.csv", "cdf_best_coverage_t1.csv"} <= names
     for name in sorted(names):
         head = (out / name).read_text().splitlines()[:2]
@@ -1030,13 +1074,13 @@ def test_process_entry_writes_the_bytes_of_main(workspace, tmp_path, capsys):
     doc = coverable_toy()
     doc["grid"]["nx"] = "abc"
     malformed.write_text(json.dumps(doc))
-    empty = tmp_path / "empty.csv"
-    empty.write_text(archive_headers(scenario, base) +
-                     "coverage_deficit,cost_fraction,energy_fraction,genes\n")
+    (child_out / "archive.csv").write_text(
+        archive_headers(scenario, base) +
+        "coverage_deficit,cost_fraction,energy_fraction,genes\n")
     cases = [(2, ["sites", "--scenario", str(malformed),
                   "--out", str(tmp_path / "o2")]),
              (3, ["optimize"] + into(tmp_path / "o3") + FAST_GA),
-             (4, ["report"] + into(child_out) + ["--archive", str(empty)])]
+             (4, ["report"] + into(child_out))]
     for code, argv in cases:
         child = python("-m", "semeplan.cli", *argv, capture_output=True, text=True)
         assert child.returncode == code, child.stderr
