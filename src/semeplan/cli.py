@@ -34,12 +34,11 @@ class StaleCacheError(RuntimeError):
     pass
 
 
-def _echo(args: argparse.Namespace) -> str:
-    """The options that shape the outputs, as one JSON line."""
-    return json.dumps({
-        "mode": args.mode, "pth_dbm": args.pth_dbm,
-        "roi_min_cells": args.roi_min_cells, "wall_loss_db": args.wall_loss_db,
-        "coverage_units": args.coverage_units}, sort_keys=True)
+def _echo(args: argparse.Namespace) -> dict:
+    """The options that shape the outputs."""
+    return {"mode": args.mode, "pth_dbm": args.pth_dbm,
+            "roi_min_cells": args.roi_min_cells, "wall_loss_db": args.wall_loss_db,
+            "coverage_units": args.coverage_units}
 
 
 def _db_params(args: argparse.Namespace) -> dict:
@@ -49,7 +48,8 @@ def _db_params(args: argparse.Namespace) -> dict:
 
 
 def _headers(scenario_hash: str, args: argparse.Namespace) -> list[str]:
-    return [f"scenario_hash={scenario_hash}", f"config={_echo(args)}"]
+    return [f"scenario_hash={scenario_hash}",
+            f"config={json.dumps(_echo(args), sort_keys=True)}"]
 
 
 def _prepare(args: argparse.Namespace, scenario: Scenario):
@@ -88,8 +88,6 @@ def _current_db(args: argparse.Namespace, scenario: Scenario):
     for other sites or kinds, or any other header raises StaleCacheError.
     """
     path = _db_path(args)
-    if not os.path.exists(path):
-        raise StaleCacheError(f"database {path} is missing; run dbgen first")
     try:
         db = propagation.load_database(path)
     except propagation.DatabaseError as exc:
@@ -117,7 +115,7 @@ def _current_db(args: argparse.Namespace, scenario: Scenario):
 # Commands
 
 
-def cmd_sites(args: argparse.Namespace) -> int:
+def cmd_sites(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
     _, rois, report, plan, _ = _prepare(args, scenario)
     headers = _headers(scenario.content_hash(), args)
@@ -140,31 +138,28 @@ def cmd_sites(args: argparse.Namespace) -> int:
                 headers)
     print(f"sites: {len(report)} verdicts, {len(rois)} regions, "
           f"{sum(len(a) for a in plan.assignments)} feasible pairs")
-    return EXIT_OK
 
 
-def cmd_dbgen(args: argparse.Namespace) -> int:
+def cmd_dbgen(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
     path = _db_path(args)
     if not args.force:
         try:
             _current_db(args, scenario)
             print(f"dbgen: cache hit, {path} is current")
-            return EXIT_OK
+            return
         except StaleCacheError:
             pass
     reference, rois, _, plan, incident = _prepare(args, scenario)
     # Each site's fields are computed as the save reaches its entries
     db = propagation.build_database(
         scenario, reference, plan.db_assignments(rois, scenario.grid.height),
-        mode=args.mode, wall_loss_db=args.wall_loss_db,
-        params=_db_params(args), plan=plan, incident_dbm=incident)
+        mode=args.mode, params=_db_params(args), plan=plan, incident_dbm=incident)
     propagation.save_database(db, path)
     print(f"dbgen: wrote {path} with {len(db.entries)} entries")
-    return EXIT_OK
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
+def cmd_optimize(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
     population = max(4, 2 * scenario.n_sites) if args.pop is None else args.pop
     population += population % 2
@@ -174,8 +169,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                               mutation_rate=args.mutation_rate)
                for k in range(args.restarts)]
     except ValueError as exc:  # GaConfig owns the GA bounds
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _ConfigError(str(exc)) from exc
     db, plan = _current_db(args, scenario)
     _, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
@@ -200,7 +194,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
           f"best coverage deficit {best:.6g}")
     manifest = {
         "scenario_hash": scenario.content_hash(),
-        "config": json.loads(_echo(args)),
+        "config": _echo(args),
         "ga": {"population": population, "iterations": args.iters,
                "seeds": [ga.seed for ga in gas], "crossover": args.crossover,
                "mutation_rate": args.mutation_rate},
@@ -208,20 +202,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     with replaced_atomically(os.path.join(args.out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     scenario = load_scenario(args.scenario)
     db, plan = _current_db(args, scenario)
     archive_path = os.path.join(args.out, "archive.csv")
-    if not os.path.isfile(archive_path):
-        raise StaleCacheError(f"archive {archive_path} is missing or not a file; "
-                              "run optimize first")
     headers = _headers(scenario.content_hash(), args)
     try:
         written, archive = analysis.read_archive_csv(archive_path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise StaleCacheError(f"archive {archive_path} is damaged: {exc}; "
                               "rerun optimize")
     if [line for line in written
@@ -236,13 +226,11 @@ def cmd_report(args: argparse.Namespace) -> int:
            for gene, alphabet in zip(entry.genes, alphabets)):
         raise StaleCacheError(f"archive {archive_path} deploys a kind that the site "
                               "plan of the database does not hold; rerun optimize")
-    if len(archive) == 0:
-        print("report: archive is empty", file=sys.stderr)
-        return EXIT_RUNTIME
     ref_power, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     rois = siteplanner.build_rois(blindspot.components, scenario.grid)
 
+    # Raises ValueError on an empty archive, before any file is written
     representatives = analysis.select_representatives(archive)
     analysis.write_solution_table(
         representatives, scenario.catalog,
@@ -271,7 +259,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         reductions, os.path.join(args.out, "reduction.csv"), headers)
     print(f"report: {len(archive)} front members, "
           f"{len(analysis.REPRESENTATIVE_NAMES)} representatives")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _OutDirError(ValueError):
-    """An --out that cannot be made a directory: a config error."""
+class _ConfigError(ValueError):
+    """An option value a stage refuses, or an --out that cannot be made a
+    directory: a config error."""
 
 
 @contextlib.contextmanager
@@ -355,7 +343,7 @@ def _out_dir_lock(out_dir: str):
     """Advisory lock; concurrent runs on one output directory are unsupported.
 
     Entering makes the output directory and its missing parents first, so a
-    path that cannot be a directory raises _OutDirError before anything is
+    path that cannot be a directory raises _ConfigError before anything is
     written.  A run that finds the lock warns and proceeds, and leaves that
     lock in place; only a lock this run created is removed on exit.  The
     directories this run created are removed on exit, innermost first, up
@@ -378,7 +366,7 @@ def _out_dir_lock(out_dir: str):
         try:
             make(out_dir)
         except OSError as exc:
-            raise _OutDirError(f"--out {out_dir} is not a directory and "
+            raise _ConfigError(f"--out {out_dir} is not a directory and "
                                f"cannot be made one: {exc}") from exc
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -404,6 +392,8 @@ def _out_dir_lock(out_dir: str):
 
 
 def main(argv=None) -> int:
+    """Run one stage and map its outcome to an exit code: the stages only
+    raise, and this is the one place that picks the code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -411,8 +401,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         with _out_dir_lock(args.out), np.errstate(all="ignore"):
-            return args.run(args)
-    except (ScenarioError, _OutDirError) as exc:
+            args.run(args)
+        return EXIT_OK
+    except (ScenarioError, _ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StaleCacheError, propagation.MissingEntryError) as exc:

@@ -327,11 +327,13 @@ class _StreamedEntries(Mapping):
 def build_database(scenario: Scenario, reference: np.ndarray,
                    assignments: Mapping[tuple[int, int], Sequence],
                    *, incident_dbm: np.ndarray, mode: str = "coherent",
-                   wall_loss_db: float = DEFAULT_WALL_LOSS_DB,
                    params: Mapping[str, float] | None = None,
                    plan: SitePlan | None = None) -> MapDatabase:
     """Bundle the reference field with every assigned device contribution.
 
+    `params` are the options the header records.  Its `wall_loss_db`
+    (`DEFAULT_WALL_LOSS_DB` if absent) is the one wall loss of the build:
+    every entry radiates at it.
     `reference` is the scenario's `reference_field` at the same wall loss.
     `assignments` maps (site index, gene value) to the per-instant aim
     points for that pair, as produced by the site planner.
@@ -348,17 +350,16 @@ def build_database(scenario: Scenario, reference: np.ndarray,
     if reference.shape != (scenario.time_instants, 3, grid.ny, grid.nx):
         raise ValueError("reference field does not match the scenario")
     keys = sorted(assignments)
+    params = {"wall_loss_db": DEFAULT_WALL_LOSS_DB, **(params or {})}
 
     def radiate(n: int) -> dict:
         site_keys = [key for key in keys if key[0] == n]
         return dict(zip(site_keys, _site_fields(
             scenario, scenario.sites[n], incident_dbm[:, n],
             [(scenario.catalog[s - 1], assignments[(n, s)]) for _, s in site_keys],
-            wall_loss_db)))
+            params["wall_loss_db"])))
 
-    header = database_header(scenario, mode,
-                             {"wall_loss_db": wall_loss_db, **(params or {})},
-                             keys, plan)
+    header = database_header(scenario, mode, params, keys, plan)
     return MapDatabase(reference=reference, entries=_StreamedEntries(radiate, keys),
                        header=header)
 

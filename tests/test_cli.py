@@ -223,8 +223,7 @@ def test_streamed_dbgen_writes_the_bytes_of_the_built_database(tmp_path, documen
     reference, rois, _, plan, incident = cli._prepare(args, sc)
     db = in_memory(propagation.build_database(
         sc, reference, plan.db_assignments(rois, sc.grid.height), mode=args.mode,
-        wall_loss_db=args.wall_loss_db, params=cli._db_params(args), plan=plan,
-        incident_dbm=incident))
+        params=cli._db_params(args), plan=plan, incident_dbm=incident))
     assert len(db.entries) > 0
     propagation.save_database(db, tmp_path / "built.bin")
     assert (tmp_path / "built.bin").read_bytes() == \
@@ -592,8 +591,11 @@ def test_failed_run_removes_every_directory_it_created(workspace, case):
 
 
 def test_report_archive_naming_a_directory_is_stale(workspace):
+    # A missing archive.csv, or a directory in its place
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0
+    assert main(["report"] + base) == 3
+    assert not (out / "solutions.csv").exists()
     (out / "archive.csv").mkdir()
     assert main(["report"] + base) == 3
     assert not (out / "solutions.csv").exists()
@@ -608,9 +610,13 @@ def test_report_refuses_an_archive_written_with_other_options(workspace):
     assert main(["report"] + base) == 0
 
 
-def test_optimize_without_database_is_stale(workspace):
+def test_optimize_without_database_is_stale(workspace, capsys):
     _, out, base = workspace
-    assert main(["optimize"] + base + FAST_GA) == 3
+    for stage, options in (("optimize", FAST_GA), ("report", [])):
+        assert main([stage] + base + options) == 3
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1, error
+        assert "mapdb.bin" in error and "dbgen" in error, error
 
 
 def test_optimize_with_mismatched_options_is_stale(workspace):
@@ -955,8 +961,14 @@ def test_out_of_range_option_is_config_error(workspace, case, capsys):
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     stage, *option = OUT_OF_RANGE[case]
     ga = FAST_GA if stage == "optimize" else []
+    capsys.readouterr()
     assert main([stage] + base + ga + option) == 2
-    assert "error:" in capsys.readouterr().err
+    error = capsys.readouterr().err
+    if option[0] in ("--pop", "--iters", "--mutation-rate", "--seed"):
+        # GaConfig's bounds: main prints the refusal as one error line
+        assert error.startswith("error: ") and error.count("\n") == 1, error
+    else:
+        assert "error:" in error
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
@@ -1084,4 +1096,5 @@ def test_process_entry_writes_the_bytes_of_main(workspace, tmp_path, capsys):
     for code, argv in cases:
         child = python("-m", "semeplan.cli", *argv, capture_output=True, text=True)
         assert child.returncode == code, child.stderr
-        assert child.stderr.startswith(("error: ", "report: ")), child.stderr
+        assert child.stderr.startswith("error: "), child.stderr
+    assert child.stderr == "error: archive is empty\n"  # the exit-4 case, run last

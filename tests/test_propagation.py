@@ -358,6 +358,21 @@ def test_database_equals_fresh_calls_in_both_modes():
             assert np.array_equal(db.entries[key], entry), key
 
 
+def test_build_radiates_at_the_wall_loss_its_header_records():
+    # params is the one source of the wall loss: the entries radiate at
+    # the value the header says.
+    sc = scenario_from_dict(demo_scenario())
+    assignments = _every_kind_everywhere(sc)
+    db = in_memory(build_database(sc, reference_field(sc, wall_loss_db=30.0),
+                                  assignments, incident_dbm=site_powers(sc, 30.0),
+                                  params={"wall_loss_db": 30.0}))
+    assert db.header["metadata"]["params"] == {"wall_loss_db": 30.0}
+    for (n, s), targets in assignments.items():
+        entry = see_contribution(sc, sc.sites[n], sc.catalog[s - 1], targets,
+                                 wall_loss_db=30.0)
+        assert db.entries[(n, s)].tobytes() == entry.tobytes(), (n, s)
+
+
 def test_sectors_sharing_the_base_station_superpose_exactly():
     # Each single-sector scenario differs from the others, so none shares
     # wall counts; their fields add up to the three-sector field bit for bit.
