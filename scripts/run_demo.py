@@ -5,11 +5,12 @@ and print where the artifacts landed.
 Usage: python scripts/run_demo.py [outdir] [--iters N] [--seed S]
 """
 import argparse
+import json
 import os
 import sys
 
 from semeplan.cli import main as semeplan
-from semeplan.synthetic import demo_scenario, write_scenario
+from semeplan.synthetic import demo_scenario
 
 
 def main() -> int:
@@ -26,7 +27,9 @@ def main() -> int:
 
     os.makedirs(args.outdir, exist_ok=True)
     scenario_path = os.path.join(args.outdir, "scenario.json")
-    write_scenario(demo_scenario(), scenario_path)
+    with open(scenario_path, "w", encoding="utf-8") as fh:
+        json.dump(demo_scenario(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     base = ["--scenario", scenario_path, "--out", args.outdir,
             "--mode", args.mode, "--wall-loss-db", str(args.wall_loss_db)]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fnmatch
 import gc
 import json
 import math
@@ -126,16 +127,22 @@ def cmd_sites(args: argparse.Namespace) -> None:
                    "assignments": plan.to_jsonable()}, fh, sort_keys=True)
         fh.write("\n")
     active = [k for k in scenario.catalog if k.is_active]
+    written = set()
     for roi in rois:
         regions = {"ems": siteplanner.ems_region(scenario, roi, args.pth_dbm)}
         if active:
             regions["ase"] = siteplanner.ase_region(scenario, roi, active[0],
                                                     args.pth_dbm)
         for name, region in regions.items():
+            raster = f"region_{name}_roi{roi.index}.csv"
+            written.add(raster)
             siteplanner.write_region_raster_csv(
                 siteplanner.region_raster(region, scenario.grid), scenario.grid,
-                os.path.join(args.out, f"region_{name}_roi{roi.index}.csv"),
-                headers)
+                os.path.join(args.out, raster), headers)
+    # an earlier run with more regions leaves no raster behind
+    for raster in fnmatch.filter(os.listdir(args.out), "region_*_roi*.csv"):
+        if raster not in written:
+            os.remove(os.path.join(args.out, raster))
     print(f"sites: {len(report)} verdicts, {len(rois)} regions, "
           f"{sum(len(a) for a in plan.assignments)} feasible pairs")
 
@@ -211,6 +218,8 @@ def cmd_report(args: argparse.Namespace) -> None:
     headers = _headers(scenario.content_hash(), args)
     try:
         written, archive = analysis.read_archive_csv(archive_path)
+    except FileNotFoundError:
+        raise StaleCacheError(f"archive {archive_path} is missing; run optimize")
     except (OSError, ValueError) as exc:
         raise StaleCacheError(f"archive {archive_path} is damaged: {exc}; "
                               "rerun optimize")

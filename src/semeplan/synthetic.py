@@ -4,12 +4,13 @@ The demo town is a small engineered world: a sectorized mast illuminates
 a grid, concrete slabs cast time-varying shadows, and pole or facade
 sites sit where devices can plausibly help.  Its values are chosen so
 the interesting structure (blind spots, feasibility, trade-offs) appears
-at desk scale.  `write_scenario` saves it as a file the CLI reads.
+at desk scale.  `scripts/run_demo.py`, `scripts/golden_digests.py`,
+`perfbench/run.py` and the tests save the document as the JSON file the
+CLI reads.
 """
 from __future__ import annotations
 
 import copy
-import json
 
 DEFAULT_CATALOG = [
     {"kind": "SP-EMS", "install_cost": 500.0, "energy_w": 0.0,
@@ -70,9 +71,3 @@ def demo_scenario() -> dict:
             {"position": [40.0, 68.0, 6.0], "mount": "pole", "name": "p4"},
         ],
     }
-
-
-def write_scenario(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

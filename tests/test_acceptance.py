@@ -13,42 +13,26 @@ from semeplan.analysis import (empirical_cdf, reduction_stats,
                                reference_blindspot, select_representatives)
 from semeplan.cli import main
 from semeplan.nsga2 import (ArchiveEntry, GaConfig, evolve,
-                            fast_nondominated_sort, hypervolume)
+                            fast_nondominated_sort)
 from semeplan.propagation import (build_database, power_map_dbm,
                                   power_map_watts, reference_field)
 from semeplan.scenario import SeeType, scenario_from_dict
 from semeplan.siteplanner import (SitePlan, ase_radii, ase_region, ems_region,
                                   max_single_hop_range, path_within_reach,
                                   build_rois)
-from semeplan.synthetic import DEFAULT_CATALOG, write_scenario
+from semeplan.synthetic import DEFAULT_CATALOG
 from semeplan.units import FREE_SPACE_IMPEDANCE
 from dbtools import see_contribution, site_powers
+from fronts import hypervolume, true_front
 from nsga2_oracle import dominates
 from objectives_oracle import coverage_deficit, fractions
-from toys import benchmark_problem, coverable_toy, pareto_toy
+from toys import benchmark_problem, coverable_toy, pareto_toy, write_scenario
 
 PTH = -65.0
 
 
 def report(criterion, name):
     print(f"\n[acceptance] C{criterion:02d} {name}: PASS")
-
-
-def true_front(objectives: np.ndarray) -> np.ndarray:
-    """Rank-0 mask over an (n, m) objective array, by a lexicographic sweep.
-
-    Only a point sorted before p can dominate p, and whatever dominates a
-    dropped point is dominated by a kept one, so testing each point against
-    the points kept so far finds the front.
-    """
-    mask = np.zeros(len(objectives), dtype=bool)
-    kept = objectives[:0]
-    for i in np.lexsort(objectives.T[::-1]):
-        o = objectives[i]
-        if not ((kept <= o).all(axis=1) & (kept < o).any(axis=1)).any():
-            mask[i] = True
-            kept = np.vstack([kept, o])
-    return mask
 
 
 def test_true_front_sweep_matches_pairwise_oracle():

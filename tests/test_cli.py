@@ -12,9 +12,9 @@ import semeplan
 from semeplan import analysis, cli, propagation, siteplanner
 from semeplan.cli import build_parser, main
 from semeplan.scenario import load_scenario
-from semeplan.synthetic import demo_scenario, write_scenario
+from semeplan.synthetic import demo_scenario
 from dbtools import in_memory, with_header, with_nan
-from toys import coverable_toy
+from toys import coverable_toy, write_scenario
 from test_scenario import DEMO, LEAF_MUTATIONS, _DELETE, _leaf_paths
 
 FAST_GA = ["--pop", "8", "--iters", "30", "--seed", "3",
@@ -47,6 +47,23 @@ def test_sites_writes_report_and_plan(workspace):
     assert len(plan["assignments"]) == 2
     assert (out / "region_ems_roi1.csv").exists()
     assert (out / "region_ase_roi1.csv").exists()
+
+
+def test_sites_rerun_with_fewer_regions_leaves_no_old_raster(tmp_path):
+    scenario = tmp_path / "demo.json"
+    write_scenario(demo_scenario(), scenario)
+    out = tmp_path / "run"
+    base = ["sites", "--scenario", str(scenario), "--out", str(out),
+            "--mode", "incoherent", "--wall-loss-db", "30", "--roi-min-cells"]
+
+    def rasters():
+        return sorted(path.name for path in out.glob("region_*"))
+
+    assert main(base + ["0"]) == 0
+    assert rasters() == ["region_ase_roi1.csv", "region_ase_roi2.csv",
+                         "region_ems_roi1.csv", "region_ems_roi2.csv"]
+    assert main(base + ["60"]) == 0
+    assert rasters() == ["region_ase_roi1.csv", "region_ems_roi1.csv"]
 
 
 def test_sites_empty_site_list(tmp_path):
@@ -590,11 +607,14 @@ def test_failed_run_removes_every_directory_it_created(workspace, case):
     assert [p.name for p in out.rglob("*")] == ["new1"]
 
 
-def test_report_archive_naming_a_directory_is_stale(workspace):
+def test_report_archive_naming_a_directory_is_stale(workspace, capsys):
     # A missing archive.csv, or a directory in its place
     _, out, base = workspace
     assert main(["dbgen"] + base) == 0
+    capsys.readouterr()
     assert main(["report"] + base) == 3
+    assert capsys.readouterr().err == (
+        f"error: archive {out / 'archive.csv'} is missing; run optimize\n")
     assert not (out / "solutions.csv").exists()
     (out / "archive.csv").mkdir()
     assert main(["report"] + base) == 3

@@ -12,9 +12,8 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "semeplan"
 
 NO_PIPELINE_CALLER = {
-    "hypervolume": "front-quality measure for the acceptance tests",
-    "demo_scenario": "bundled scenario: the demo town of scripts/run_demo.py",
-    "write_scenario": "writes a bundled scenario to a file the CLI reads",
+    "demo_scenario": "bundled scenario: the demo town that scripts/run_demo.py, "
+                     "scripts/golden_digests.py and perfbench/run.py run",
 }
 
 

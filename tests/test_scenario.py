@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from semeplan.scenario import (ScenarioError, load_scenario, scenario_from_dict,
                                scenario_to_dict)
-from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario, write_scenario
+from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario
+from toys import write_scenario
 
 MINIMAL = {
     "frequency_hz": 3.5e9,

@@ -101,7 +101,8 @@ def test_traced_sites_and_dbgen_report_the_database_bytes(tmp_path):
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
     from semeplan import cli
-    from semeplan.synthetic import demo_scenario, write_scenario
+    from semeplan.synthetic import demo_scenario
+    from toys import write_scenario
 
     scenario = tmp_path / "demo.json"
     write_scenario(demo_scenario(), scenario)

@@ -1,6 +1,8 @@
-"""Small engineered scenarios for the tests, and the enumeration benchmark
-problem that acceptance test c01 searches."""
+"""Small engineered scenarios for the tests, the enumeration benchmark
+problem that acceptance test c01 searches, and `write_scenario`, which
+saves a scenario document as the JSON file the CLI reads."""
 import copy
+import json
 
 import numpy as np
 
@@ -130,3 +132,9 @@ def benchmark_problem(pth_dbm: float = -65.0):
     evaluator = Evaluator(db, blindspot.cells_per_t(), pth_dbm,
                           scenario.catalog, plan)
     return scenario, blindspot, plan, db, evaluator
+
+
+def write_scenario(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
