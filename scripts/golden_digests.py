@@ -4,7 +4,6 @@
 Two scenarios, four stages each (sites, dbgen, optimize, report):
   demo/           the bundled demo town, incoherent mode, 30 dB walls,
                   GA at population 10 for 2000 generations, seed 21
-  demo_restarts/  the same with --restarts 2 (seeds 21 and 22, one front)
   town/           the seeded 64x64 benchmark town (perfbench/town.py, seed 21),
                   coherent mode, GA for 40 generations, seed 21
 
@@ -38,10 +37,6 @@ DEMO_GA = ["--pop", "10", "--mutation-rate", "0.1", "--iters", "2000",
 PIPELINES = [
     ("demo", demo_scenario,
      [["sites"], ["dbgen"], ["optimize"] + DEMO_GA, ["report"]],
-     DEMO_OPTIONS),
-    ("demo_restarts", demo_scenario,
-     [["sites"], ["dbgen"], ["optimize"] + DEMO_GA + ["--restarts", "2"],
-      ["report"]],
      DEMO_OPTIONS),
     ("town", lambda: town.town(21),
      [["sites"], ["dbgen", "--force"], ["optimize", "--iters", "40", "--seed", "21"],

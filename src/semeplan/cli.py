@@ -171,10 +171,9 @@ def cmd_optimize(args: argparse.Namespace) -> None:
     population = max(4, 2 * scenario.n_sites) if args.pop is None else args.pop
     population += population % 2
     try:
-        gas = [nsga2.GaConfig(population=population, iterations=args.iters,
-                              seed=args.seed + k, crossover=args.crossover,
-                              mutation_rate=args.mutation_rate)
-               for k in range(args.restarts)]
+        ga = nsga2.GaConfig(population=population, iterations=args.iters,
+                            seed=args.seed, crossover=args.crossover,
+                            mutation_rate=args.mutation_rate)
     except ValueError as exc:  # GaConfig owns the GA bounds
         raise _ConfigError(str(exc)) from exc
     db, plan = _current_db(args, scenario)
@@ -183,27 +182,22 @@ def cmd_optimize(args: argparse.Namespace) -> None:
     evaluator = objectives.Evaluator(
         db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan,
         normalized=args.coverage_units == "normalized")
-    memo: dict = {}  # one evaluator, so restarts share its scores
-    results = [nsga2.evolve(ga, evaluator, plan.alphabets(), memo) for ga in gas]
-    # one front: the non-dominated members of the union of the restarts' fronts
-    members = [entry for result in results for entry in result.archive]
-    ranks = nsga2.fast_nondominated_sort([e.objectives for e in members], 1)
-    archive = nsga2.pareto_archive(e for e, rank in zip(members, ranks) if rank == 0)
-    seeds = ",".join(str(ga.seed) for ga in gas)
-    headers = _headers(scenario.content_hash(), args) + [f"seed={seeds}"]
-    analysis.write_archive_csv(archive, os.path.join(args.out, "archive.csv"), headers)
+    result = nsga2.evolve(ga, evaluator, plan.alphabets())
+    headers = _headers(scenario.content_hash(), args) + [f"seed={ga.seed}"]
+    analysis.write_archive_csv(result.archive, os.path.join(args.out, "archive.csv"),
+                               headers)
     write_csv(os.path.join(args.out, "trace.csv"), headers,
               ["generation", "front_size", "min_coverage", "min_cost", "min_energy"],
               ((str(row.generation), str(row.front_size), *(repr(b) for b in row.best))
-               for result in results for row in result.trace))
-    best = min(e.objectives[0] for e in archive)
-    print(f"optimize: seed {seeds} -> {len(archive)} front members, "
+               for row in result.trace))
+    best = min(e.objectives[0] for e in result.archive)
+    print(f"optimize: seed {ga.seed} -> {len(result.archive)} front members, "
           f"best coverage deficit {best:.6g}")
     manifest = {
         "scenario_hash": scenario.content_hash(),
         "config": _echo(args),
         "ga": {"population": population, "iterations": args.iters,
-               "seeds": [ga.seed for ga in gas], "crossover": args.crossover,
+               "seed": ga.seed, "crossover": args.crossover,
                "mutation_rate": args.mutation_rate},
     }
     with replaced_atomically(os.path.join(args.out, "manifest.json")) as fh:
@@ -220,6 +214,9 @@ def cmd_report(args: argparse.Namespace) -> None:
         written, archive = analysis.read_archive_csv(archive_path)
     except FileNotFoundError:
         raise StaleCacheError(f"archive {archive_path} is missing; run optimize")
+    except IsADirectoryError:
+        raise StaleCacheError(f"archive {archive_path} is not a file; remove it "
+                              "and rerun optimize")
     except (OSError, ValueError) as exc:
         raise StaleCacheError(f"archive {archive_path} is damaged: {exc}; "
                               "rerun optimize")
@@ -331,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--iters", type=int, default=10_000,
                        help="generations (default 10000)")
     p_opt.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_opt.add_argument("--restarts", type=_number(int, 1), default=1,
-                       help="seeds to run (seed, seed+1, ...) into one front")
     p_opt.add_argument("--crossover", choices=("uniform", "one_point"),
                        default="uniform")
     p_opt.add_argument("--mutation-rate", type=float, default=0.005)

@@ -4,12 +4,14 @@ Generational loop: binary tournament selection, uniform or one-point
 crossover on the integer string, per-gene mutation resampling from the
 feasible alphabet, then mu+lambda survivor selection.  Survivors are kept in
 crowded-comparison order (front, then crowding, then index), and a
-tournament goes to the contestant at the lower position.  Fully
-reproducible from the seed.
+tournament goes to the contestant at the lower position.  The archive is
+the non-dominated set of every chromosome the run scored, kept apart from
+the bounded population.  Fully reproducible from the seed.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -134,6 +136,27 @@ def pareto_archive(front) -> tuple[ArchiveEntry, ...]:
     return tuple(sorted(entries.values(), key=lambda e: (e.objectives, e.genes)))
 
 
+def _admit(kept: list, objectives: tuple, genes: tuple) -> None:
+    """Add a scored pair to `kept`, the ascending (objectives, genes) pairs
+    that nothing scored so far dominates; distinct genes with equal
+    objectives are all kept.  Only a pair placed before the objectives can
+    dominate them (tried nearest first), and only one placed after them can
+    be dominated: the first objective needs no test."""
+    _, b, c = objectives
+    lo = bisect_left(kept, (objectives,))
+    for (_, y, z), _ in reversed(kept[:lo]):
+        if y <= b and z <= c:
+            return
+    hi = lo
+    while hi < len(kept) and kept[hi][0] == objectives:
+        hi += 1
+    at = bisect_left(kept, (objectives, genes), lo, hi)
+    if at < hi and kept[at][1] == genes:
+        return
+    kept[hi:] = [pair for pair in kept[hi:] if pair[0][1] < b or pair[0][2] < c]
+    kept.insert(at, (objectives, genes))
+
+
 class GenerationStats(NamedTuple):
     generation: int
     front_size: int
@@ -230,7 +253,7 @@ def _ranked(objectives, keep) -> tuple[list[int], list[int]]:
     The order is by front, then by crowding, largest first, then by index
     (Deb et al. 2002).  Fronts are peeled and crowded only until the order
     holds `keep` members; survivor selection never reaches a later one.
-    Front 0 is always peeled whole: the trace row and the archive read it.
+    Front 0 is always peeled whole: the trace row reads it.
     """
     ranks = fast_nondominated_sort(objectives, keep)
     fronts: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
@@ -254,29 +277,29 @@ def _stats(generation, front) -> GenerationStats:
 
 
 def evolve(config: GaConfig, evaluator: Callable,
-           alphabets: Sequence[Sequence[int]],
-           memo: dict | None = None) -> EvolveResult:
-    """Run the generational loop and return the final front plus a trace.
+           alphabets: Sequence[Sequence[int]]) -> EvolveResult:
+    """Run the generational loop and return the archive plus a trace.
 
-    `evaluator(genes) -> (repaired genes, objective tuple)` must be pure; it
-    receives the chromosome as a tuple of ints, and every objective it
-    returns must be finite.  Its results are memoized on the incoming genes
-    for the last `_MEMO_LIMIT` distinct chromosomes scored, so a repeated
-    chromosome is not scored again.  The memo is `memo` when given: calls
-    that pass the same dict with the same evaluator share their scores, and
-    a chromosome scored in one is not scored again in another.
-    `alphabets[n]` lists the feasible gene values at site n (0 is always
-    added).  Each parent is the winner of a binary tournament on the
-    crowded-comparison order.  Each trace row reads front 0 of its
-    generation's combined parent+offspring population, and the archive is
-    the deduplicated front 0 of the last one.
+    `evaluator(genes) -> (repaired genes, three objectives)` must be pure,
+    and its objectives a function of the repaired genes; it receives the
+    chromosome as a tuple of ints, and every objective it returns must be
+    finite.  Its results are memoized on the incoming genes for the last
+    `_MEMO_LIMIT` distinct chromosomes scored, so a repeated chromosome is
+    not scored again.  `alphabets[n]` lists the feasible gene values at site
+    n (0 is always added).  Each parent is the winner of a binary tournament
+    on the crowded-comparison order.  Each trace row reads front 0 of its
+    generation's combined parent+offspring population.  The archive is the
+    `pareto_archive` of every repaired chromosome the evaluator returned
+    that no other one it returned dominates, which the bounded population
+    can lose.
     """
     stream = _Stream(config.seed)
     random, randoms, below = stream.random, stream.randoms, stream.below
     alphabets = tuple(tuple(sorted({0, *map(int, a)})) for a in alphabets)
     n_genes = len(alphabets)
     size = config.population
-    memo = {} if memo is None else memo
+    memo: dict = {}
+    kept: list = []  # every scored chromosome no other one dominates
 
     def evaluate(genes, generation):
         scored = memo.get(genes)
@@ -291,9 +314,11 @@ def evolve(config: GaConfig, evaluator: Callable,
         if not all(map(math.isfinite, vec)):
             raise EvolveError(f"evaluator returned a non-finite objective "
                               f"{vec} at generation {generation}")
-        memo[genes] = scored = tuple(np.asarray(repaired, dtype=int).tolist()), vec
+        repaired = tuple(np.asarray(repaired, dtype=int).tolist())
+        memo[genes] = scored = repaired, vec
         if len(memo) > _MEMO_LIMIT:
             del memo[next(iter(memo))]
+        _admit(kept, vec, repaired)
         return scored
 
     def mutate(genes):
@@ -319,8 +344,7 @@ def evolve(config: GaConfig, evaluator: Callable,
     pop_genes[0] = (0,) * n_genes  # the empty deployment
     pop = [evaluate(g, 0) for g in pop_genes]
     initial, first = _ranked([o for _, o in pop], size)
-    front = [pop[i] for i in first]
-    trace = [_stats(0, front)]
+    trace = [_stats(0, [pop[i] for i in first])]
     # a tournament goes to the member placed first in crowded-comparison
     # order; survivors are kept in that order, so from generation 2 on a
     # member's place is its position
@@ -342,7 +366,6 @@ def evolve(config: GaConfig, evaluator: Callable,
         order, first = _ranked([o for _, o in combined], size)
         pop = [combined[i] for i in order[:size]]
         place = range(size)
-        front = [combined[i] for i in first]
-        trace.append(_stats(generation, front))
+        trace.append(_stats(generation, [combined[i] for i in first]))
 
-    return EvolveResult(archive=pareto_archive(front), trace=trace)
+    return EvolveResult(archive=pareto_archive((g, o) for o, g in kept), trace=trace)

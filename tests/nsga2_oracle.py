@@ -4,7 +4,9 @@ with one `rng.choice` per tournament and numpy arrays for chromosomes.
 `nsga2.evolve` makes the same draws in the same order more cheaply, and must
 give the same archive and trace for every configuration and seed.  The
 ranking and the archive here are built on the pairwise `dominates` alone,
-so none of `nsga2`'s selection code checks itself.
+so none of `nsga2`'s selection code checks itself.  The archive is the
+rank-0 set of every chromosome the loop scored, repeats included, ranked
+once at the end.
 """
 from typing import Callable, Sequence
 
@@ -109,6 +111,7 @@ def evolve(config: GaConfig, evaluator: Callable,
     rng = np.random.default_rng(config.seed)
     alphabets = tuple(tuple(sorted(set(a) | {0})) for a in alphabets)
     n_genes = len(alphabets)
+    scored = []  # every (repaired genes, objectives) the evaluator returned
 
     def evaluate(genes, generation):
         try:
@@ -116,7 +119,8 @@ def evolve(config: GaConfig, evaluator: Callable,
         except Exception as exc:
             raise EvolveError(f"evaluator failed at generation {generation}: "
                               f"{exc}") from exc
-        return np.asarray(repaired, dtype=int), tuple(float(v) for v in vec)
+        scored.append((np.asarray(repaired, dtype=int), tuple(float(v) for v in vec)))
+        return scored[-1]
 
     def random_genes():
         return np.array([alpha[rng.integers(len(alpha))] for alpha in alphabets],
@@ -146,7 +150,6 @@ def evolve(config: GaConfig, evaluator: Callable,
     ranks, crowding = _rank_and_crowd([o for _, o in pop])
     trace = [_stats(0, [g for g, _ in pop], [o for _, o in pop], ranks)]
 
-    combined = pop
     for generation in range(1, config.iterations + 1):
         offspring = []
         while len(offspring) < config.population:
@@ -172,5 +175,5 @@ def evolve(config: GaConfig, evaluator: Callable,
         trace.append(_stats(generation, [g for g, _ in combined], comb_objs,
                             comb_ranks))
 
-    archive = pareto_archive([g for g, _ in combined], [o for _, o in combined])
+    archive = pareto_archive([g for g, _ in scored], [o for _, o in scored])
     return EvolveResult(archive=archive, trace=trace)

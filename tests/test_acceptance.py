@@ -9,18 +9,19 @@ import time
 import numpy as np
 import pytest
 
-from semeplan.analysis import (empirical_cdf, reduction_stats,
+from semeplan.analysis import (empirical_cdf, read_archive_csv, reduction_stats,
                                reference_blindspot, select_representatives)
 from semeplan.cli import main
 from semeplan.nsga2 import (ArchiveEntry, GaConfig, evolve,
                             fast_nondominated_sort)
+from semeplan.objectives import Evaluator
 from semeplan.propagation import (build_database, power_map_dbm,
                                   power_map_watts, reference_field)
 from semeplan.scenario import SeeType, scenario_from_dict
 from semeplan.siteplanner import (SitePlan, ase_radii, ase_region, ems_region,
                                   max_single_hop_range, path_within_reach,
                                   build_rois)
-from semeplan.synthetic import DEFAULT_CATALOG
+from semeplan.synthetic import DEFAULT_CATALOG, demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE
 from dbtools import see_contribution, site_powers
 from fronts import hypervolume, true_front
@@ -72,12 +73,19 @@ def test_c01_exhaustive_pareto_recovery():
     for seed in (0, 1, 2, 3, 4, 7):
         config = GaConfig(population=12, iterations=500, seed=seed,
                           mutation_rate=0.2)
+        scored = set()
+
+        def recorded(genes):
+            scored.add(tuple(int(g) for g in genes))
+            return evaluator(genes)
+
         started = time.monotonic()
-        result = evolve(config, evaluator, plan.alphabets())
+        result = evolve(config, recorded, plan.alphabets())
         elapsed = time.monotonic() - started
 
         assert elapsed <= 60.0
         assert all(entry.genes in optimal for entry in result.archive)
+        assert {entry.genes for entry in result.archive} == optimal & scored
         got_hv = hypervolume([e.objectives for e in result.archive], ref_point)
         assert got_hv >= 0.99 * total_hv
         runs.append(f"seed {seed}: {elapsed:.2f}s archive {len(result.archive)} "
@@ -85,6 +93,53 @@ def test_c01_exhaustive_pareto_recovery():
     report(1, f"exhaustive Pareto-front recovery on the toy problem "
               f"(front {len(optimal)}, enumerated in {enumerated_s:.1f}s; "
               f"{'; '.join(runs)})")
+
+
+def test_c01_demo_archive_is_the_front_of_everything_scored(tmp_path, monkeypatch):
+    # The demo golden run.  Its last generation's front 0 holds members that
+    # chromosomes scored earlier beat; the archive holds what nothing the
+    # run scored beats, so every chromosome of the exhaustive front that
+    # the run met.
+    score = Evaluator.__call__
+    scorers, scored = [], {}
+
+    def recorded(self, genes):
+        scorers.append(self)
+        repaired, vec = score(self, genes)
+        scored[tuple(int(g) for g in repaired)] = tuple(vec)
+        return repaired, vec
+
+    scenario = tmp_path / "scenario.json"
+    write_scenario(demo_scenario(), scenario)
+    base = ["--scenario", str(scenario), "--out", str(tmp_path),
+            "--mode", "incoherent", "--wall-loss-db", "30"]
+    assert main(["sites"] + base) == 0
+    assert main(["dbgen"] + base) == 0
+    monkeypatch.setattr(Evaluator, "__call__", recorded)
+    assert main(["optimize"] + base + ["--pop", "10", "--mutation-rate", "0.1",
+                                       "--iters", "2000", "--seed", "21"]) == 0
+    monkeypatch.undo()
+    _, archive = read_archive_csv(tmp_path / "archive.csv")
+    kept = {entry.genes for entry in archive}
+
+    genes = list(scored)
+    front = true_front(np.array([scored[g] for g in genes]))
+    assert kept == {g for g, on in zip(genes, front) if on}
+    assert all(scored[entry.genes] == entry.objectives for entry in archive)
+
+    chromosomes = list(itertools.product(*scorers[0].alphabets))
+    assert len(chromosomes) == 1875
+    objectives = np.array([score(scorers[0], c)[1] for c in chromosomes])
+    mask = true_front(objectives)
+    optimal = {chromosomes[i] for i in np.flatnonzero(mask)}
+    assert optimal & set(scored) <= kept
+    ref_point = objectives[mask].max(axis=0) * 1.1
+    total_hv = hypervolume(objectives[mask], ref_point)
+    got_hv = hypervolume([entry.objectives for entry in archive], ref_point)
+    assert got_hv >= 0.99 * total_hv
+    report(1, f"demo archive: {len(kept)} members, the front of {len(scored)} "
+              f"chromosomes scored; {len(kept & optimal)} of the exhaustive "
+              f"front's {len(optimal)}, hypervolume ratio {got_hv / total_hv:.6f}")
 
 
 def test_c02_nondominated_sort_oracle():

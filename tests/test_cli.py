@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -618,6 +617,9 @@ def test_report_archive_naming_a_directory_is_stale(workspace, capsys):
     assert not (out / "solutions.csv").exists()
     (out / "archive.csv").mkdir()
     assert main(["report"] + base) == 3
+    assert capsys.readouterr().err == (
+        f"error: archive {out / 'archive.csv'} is not a file; remove it and "
+        "rerun optimize\n")
     assert not (out / "solutions.csv").exists()
 
 
@@ -653,7 +655,7 @@ def test_pipeline_and_reports(workspace):
     assert (out / "archive.csv").exists()
     assert (out / "trace.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["ga"]["seeds"] == [3]
+    assert manifest["ga"]["seed"] == 3
     assert main(["report"] + base) == 0
     rows = read_rows(out / "solutions.csv")
     assert len(rows) == 1 + 4  # header + four representatives
@@ -693,98 +695,6 @@ def test_optimize_same_seed_identical_archive(workspace, tmp_path):
     first = (out / "archive.csv").read_bytes()
     assert main(["optimize"] + base + FAST_GA) == 0
     assert (out / "archive.csv").read_bytes() == first
-
-
-def test_restarts_write_one_archive_and_one_trace(workspace):
-    scenario, out, base = workspace
-    assert main(["dbgen"] + base) == 0
-    assert main(["optimize"] + base + FAST_GA + ["--restarts", "3"]) == 0
-    assert sorted(path.name for path in out.iterdir()) == [
-        "archive.csv", "manifest.json", "mapdb.bin", "trace.csv"]
-    for name in ("archive.csv", "trace.csv"):
-        assert "# seed=3,4,5\n" in (out / name).read_text()
-    assert len(read_rows(out / "trace.csv")) == 1 + 3 * (30 + 1)
-    assert main(["report"] + base) == 0
-
-
-def test_single_seed_run_after_restarts_leaves_its_own_files(workspace, tmp_path):
-    # Nothing a restarts run writes outlives a later single-seed run, and
-    # report reads that run's front.
-    scenario, out, base = workspace
-    assert main(["dbgen"] + base) == 0
-    assert main(["optimize"] + base + FAST_GA + ["--restarts", "2"]) == 0
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    shutil.copyfile(out / "mapdb.bin", fresh / "mapdb.bin")
-    into_fresh = [str(fresh) if arg == str(out) else arg for arg in base]
-    for stage in (["optimize"] + FAST_GA, ["report"]):
-        assert main(stage + base) == 0
-        assert main(stage + into_fresh) == 0
-    assert _listing(out) == _listing(fresh)
-
-
-def nondominated_merge(rows):
-    """Archive rows of several fronts that no other row dominates, each
-    once, in (objectives, genes) order."""
-    parsed = {}
-    for row in rows:
-        *values, genes = row.split(",")
-        parsed[row] = tuple(map(float, values)), tuple(map(int, genes.split(";")))
-
-    def dominated(o):
-        return any(all(a <= b for a, b in zip(p, o)) and p != o
-                   for p, _ in parsed.values())
-
-    return sorted((row for row, (o, _) in parsed.items() if not dominated(o)),
-                  key=parsed.__getitem__)
-
-
-def test_restarts_score_each_distinct_chromosome_once(workspace, tmp_path,
-                                                     monkeypatch):
-    # The restarts share one memo: a chromosome scored by the first restart
-    # is not scored again by the second.  Each restart's block of the trace
-    # is what a separate run with its seed writes, and the archive is the
-    # non-dominated merge of the separate runs' archives.
-    from semeplan.objectives import Evaluator
-    scored = []
-    score = Evaluator.__call__
-
-    def counting(self, genes):
-        scored.append(tuple(genes))
-        return score(self, genes)
-
-    monkeypatch.setattr(Evaluator, "__call__", counting)
-    scenario, out, base = workspace
-    assert main(["dbgen"] + base) == 0
-    ga = ["--pop", "8", "--iters", "30", "--mutation-rate", "0.2"]
-    assert main(["optimize"] + base + ga + ["--seed", "3", "--restarts", "2"]) == 0
-    assert len(scored) == len(set(scored))
-    restarts_scored = len(scored)
-    alone = {}
-    for seed in (3, 4):
-        alone[seed] = tmp_path / f"alone{seed}"
-        alone[seed].mkdir()
-        shutil.copyfile(out / "mapdb.bin", alone[seed] / "mapdb.bin")
-        single = ["--scenario", str(scenario), "--out", str(alone[seed]),
-                  "--mode", "incoherent"]
-        assert main(["optimize"] + single + ga + ["--seed", str(seed)]) == 0
-
-    def split(path):
-        """The three `# ` lines and the column row, then the rows."""
-        lines = path.read_text().splitlines()
-        return lines[:4], lines[4:]
-
-    for name in ("trace.csv", "archive.csv"):
-        (head3, rows3), (head4, rows4) = (split(alone[seed] / name) for seed in (3, 4))
-        head, rows = split(out / name)
-        assert head == head3[:2] + ["# seed=3,4"] + head3[3:]
-        assert head4 == head3[:2] + ["# seed=4"] + head3[3:]
-        assert rows == (rows3 + rows4 if name == "trace.csv"
-                        else nondominated_merge(rows3 + rows4))
-    # the separate runs ask for the same chromosomes, and score some twice
-    separate = scored[restarts_scored:]
-    assert set(separate) == set(scored[:restarts_scored])
-    assert len(separate) > len(set(separate))
 
 
 def archive_headers(scenario, base):
@@ -896,7 +806,7 @@ def test_report_refuses_a_gene_outside_the_site_plan(tmp_path, gene, capsys):
 def test_outputs_carry_hash_and_config(workspace):
     scenario, out, base = workspace
     for stage in (["sites"], ["dbgen"],
-                  ["optimize"] + FAST_GA + ["--restarts", "2"], ["report"]):
+                  ["optimize"] + FAST_GA, ["report"]):
         assert main(stage + base) == 0
     names = {path.name for path in out.glob("*.csv")}
     assert {"feasibility.csv", "region_ems_roi1.csv", "region_ase_roi1.csv",
@@ -944,6 +854,7 @@ def test_bad_flags_are_config_errors(workspace):
     scenario, out, base = workspace
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2
     assert main(["frobnicate"] + base) == 2
+    assert main(["optimize"] + base + ["--restarts", "2"]) == 2
 
 
 @pytest.mark.parametrize("stage", ["sites", "optimize", "report"])
@@ -959,7 +870,6 @@ OUT_OF_RANGE = {
     "pop_negative": ["optimize", "--pop", "-4"],
     "iters_0": ["optimize", "--iters", "0"],
     "mutation_rate_above_1": ["optimize", "--mutation-rate", "1.5"],
-    "restarts_0": ["optimize", "--restarts", "0"],
     "seed_negative": ["optimize", "--seed", "-1"],
     "pth_nan": ["sites", "--pth-dbm", "nan"],
     "pth_inf": ["sites", "--pth-dbm", "inf"],
@@ -1018,7 +928,7 @@ def test_documented_defaults(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == json.loads(echo)
     assert manifest["ga"] == {"population": max(4, 2 * len(doc["sites"])),
-                              "iterations": 2, "seeds": [0],
+                              "iterations": 2, "seed": 0,
                               "crossover": "uniform", "mutation_rate": 0.005}
     assert build_parser().parse_args(["optimize"] + base).iters == 10_000
 

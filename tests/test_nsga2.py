@@ -124,12 +124,16 @@ def table_evaluator(seed, n_genes):
     return evaluator
 
 
-@given(alphabets=st.lists(st.sets(st.integers(0, 7), max_size=3).map(sorted),
-                          min_size=1, max_size=6),
-       half_population=st.integers(2, 8), iterations=st.integers(1, 12),
-       mutation_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-       seed=st.integers(0, 2 ** 16),
-       crossover=st.sampled_from(["uniform", "one_point"]))
+GA_RUNS = dict(
+    alphabets=st.lists(st.sets(st.integers(0, 7), max_size=3).map(sorted),
+                       min_size=1, max_size=6),
+    half_population=st.integers(2, 8), iterations=st.integers(1, 12),
+    mutation_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2 ** 16),
+    crossover=st.sampled_from(["uniform", "one_point"]))
+
+
+@given(**GA_RUNS)
 @example(alphabets=[[1, 2]] * 4, half_population=2, iterations=6, mutation_rate=0.0,
          seed=0, crossover="uniform")
 @example(alphabets=[[1, 2]] * 4, half_population=2, iterations=6, mutation_rate=1.0,
@@ -168,6 +172,35 @@ def test_evolve_matches_the_choice_oracle(alphabets, half_population, iterations
     want = nsga2_oracle.evolve(cfg, evaluator, alphabets)
     assert got.archive == want.archive
     assert got.trace == want.trace
+
+
+@given(**GA_RUNS)
+# the last generation's front 0 holds chromosomes that earlier ones beat
+@example(alphabets=[[0, 2, 6], [6], [0, 7], [0, 2, 3], [3], [0, 7]],
+         half_population=7, iterations=12, mutation_rate=0.0, seed=32662,
+         crossover="uniform")
+@example(alphabets=[[0, 4, 7], [2, 3, 6], [2, 5, 6], [0], [2]], half_population=4,
+         iterations=9, mutation_rate=1.0, seed=32858, crossover="uniform")
+def test_archive_is_the_front_of_everything_scored(alphabets, half_population,
+                                                   iterations, mutation_rate, seed,
+                                                   crossover):
+    cfg = GaConfig(population=2 * half_population, iterations=iterations,
+                   mutation_rate=mutation_rate, seed=seed, crossover=crossover)
+    evaluator = table_evaluator(seed, len(alphabets))
+    scored = []
+
+    def recorded(genes):
+        repaired, vec = evaluator(genes)
+        scored.append((tuple(int(g) for g in repaired), vec))
+        return repaired, vec
+
+    archive = evolve(cfg, recorded, alphabets).archive
+    genes = [e.genes for e in archive]
+    assert len(set(genes)) == len(genes)
+    assert not any(dominates(o, e.objectives) for _, o in scored for e in archive)
+    # and every chromosome that nothing scored beats is kept
+    assert all(g in genes or any(dominates(p, o) for _, p in scored)
+               for g, o in scored)
 
 
 # bounds where numpy's bounded draw rejects often: up to 30 % of words
@@ -336,12 +369,26 @@ def test_evolve_scores_each_distinct_chromosome_once(coverable, coverable_evalua
 
 
 def test_results_survive_memo_eviction(coverable, coverable_evaluators, monkeypatch):
-    monkeypatch.setattr(nsga2, "_MEMO_LIMIT", 4)
     cfg = GaConfig(population=8, iterations=30, seed=9, mutation_rate=0.3)
-    scored, requested = scored_and_requested(
-        coverable, coverable_evaluators["coherent"], cfg)
+    evaluator = coverable_evaluators["coherent"]
+    unevicted = evolve(cfg, evaluator, coverable["plan"].alphabets())
+    monkeypatch.setattr(nsga2, "_MEMO_LIMIT", 4)
+    scored, requested = scored_and_requested(coverable, evaluator, cfg)
     assert scored == memo_misses(requested, 4)
     assert len(scored) > len(set(scored))  # evicted chromosomes were scored again
+    assert evolve(cfg, evaluator, coverable["plan"].alphabets()) == unevicted
+
+
+def test_admit_keeps_each_undominated_chromosome_once():
+    kept = []
+    tie = (1.0, 2.0, 3.0)
+    for objectives, genes in [(tie, (2,)), (tie, (1,)), (tie, (2,)),
+                              ((2.0, 2.0, 3.0), (3,)), ((0.0, 5.0, 0.0), (4,))]:
+        nsga2._admit(kept, objectives, genes)
+    # the tie twice, the repeat and the dominated chromosome not at all
+    assert kept == [((0.0, 5.0, 0.0), (4,)), (tie, (1,)), (tie, (2,))]
+    nsga2._admit(kept, (1.0, 1.0, 3.0), (5,))
+    assert kept == [((0.0, 5.0, 0.0), (4,)), ((1.0, 1.0, 3.0), (5,))]
 
 
 def test_config_validation():

@@ -27,6 +27,21 @@ def test_help_exits_zero(script):
                    capture_output=True, timeout=120)
 
 
+def test_every_source_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10; a newer construct fails only there
+    sources = [path for folder in ("src", "tests", "scripts", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(sources) > 30
+    failures = []
+    for path in sources:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert not failures, failures
+
+
 def test_console_script_target_resolves():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
