@@ -188,8 +188,7 @@ def reduction_stats(ref_power: np.ndarray, new_power: np.ndarray,
 
 def write_solution_table(representatives: Mapping[str, ArchiveEntry],
                          catalog: Sequence[SeeType], path,
-                         header_lines: Sequence[str] = (),
-                         coverage_units: str = "m2") -> None:
+                         header_lines: Sequence[str] = ()) -> None:
     """One row per named front member: its objectives, device count per
     catalog kind, and installed cost and energy."""
     kinds = list(dict.fromkeys(k.kind for k in catalog))
@@ -201,7 +200,7 @@ def write_solution_table(representatives: Mapping[str, ArchiveEntry],
     for name, entry in representatives.items():
         deployed = [catalog[s - 1].kind for s in entry.genes if s > 0]
         cost, energy = deployment_totals(entry.genes, catalog)
-        rows.append([name, repr(entry.objectives[0]), coverage_units,
+        rows.append([name, repr(entry.objectives[0]), "normalized",
                      repr(entry.objectives[1]), repr(entry.objectives[2]),
                      str(len(deployed))]
                     + [str(deployed.count(k)) for k in kinds]

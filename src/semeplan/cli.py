@@ -36,10 +36,10 @@ class StaleCacheError(RuntimeError):
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    """The options that shape the outputs."""
+    """The options that shape the outputs, and the coverage deficit's unit."""
     return {"mode": args.mode, "pth_dbm": args.pth_dbm,
             "roi_min_cells": args.roi_min_cells, "wall_loss_db": args.wall_loss_db,
-            "coverage_units": args.coverage_units}
+            "coverage_units": "normalized"}
 
 
 def _db_params(args: argparse.Namespace) -> dict:
@@ -180,8 +180,7 @@ def cmd_optimize(args: argparse.Namespace) -> None:
     _, blindspot = analysis.reference_blindspot(
         db.reference, db.wavelength, args.pth_dbm, args.roi_min_cells)
     evaluator = objectives.Evaluator(
-        db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan,
-        normalized=args.coverage_units == "normalized")
+        db, blindspot.cells_per_t(), args.pth_dbm, scenario.catalog, plan)
     result = nsga2.evolve(ga, evaluator, plan.alphabets())
     headers = _headers(scenario.content_hash(), args) + [f"seed={ga.seed}"]
     analysis.write_archive_csv(result.archive, os.path.join(args.out, "archive.csv"),
@@ -240,8 +239,7 @@ def cmd_report(args: argparse.Namespace) -> None:
     representatives = analysis.select_representatives(archive)
     analysis.write_solution_table(
         representatives, scenario.catalog,
-        os.path.join(args.out, "solutions.csv"), headers,
-        coverage_units=args.coverage_units)
+        os.path.join(args.out, "solutions.csv"), headers)
 
     reductions = {}
     for name in analysis.REPRESENTATIVE_NAMES:
@@ -300,10 +298,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--wall-loss-db", type=_number(float, 0.0),
                         default=propagation.DEFAULT_WALL_LOSS_DB,
                         help="per-building penetration loss (default 20)")
-    parser.add_argument("--coverage-units", choices=("normalized", "m2"),
-                        default="normalized",
-                        help="coverage deficit units: blind-spot-area "
-                             "normalized (default) or raw m2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,16 +336,31 @@ class _ConfigError(ValueError):
     directory: a config error."""
 
 
+def _lock_is_stale(lock: str) -> bool:
+    """Whether `lock` exists and names no live process: its text is not a
+    positive integer, or no process has that pid.  An unreadable lock is live."""
+    try:
+        with open(lock, encoding="utf-8") as fh:
+            pid = int(fh.read())
+        if pid > 0:  # 0 and below would name process groups
+            os.kill(pid, 0)  # PermissionError: alive, another user's
+    except (ValueError, OverflowError, ProcessLookupError):
+        return True
+    except OSError:
+        return False
+    return pid <= 0
+
+
 @contextlib.contextmanager
 def _out_dir_lock(out_dir: str):
     """Advisory lock; concurrent runs on one output directory are unsupported.
 
     Entering makes the output directory and its missing parents first, so a
     path that cannot be a directory raises _ConfigError before anything is
-    written.  A run that finds the lock warns and proceeds, and leaves that
-    lock in place; only a lock this run created is removed on exit.  The
-    directories this run created are removed on exit, innermost first, up
-    to the first one the run left non-empty.
+    written.  A lock naming no live process is taken over with a warning.
+    A run that finds another lock warns, proceeds and leaves it in place.
+    On exit it removes its own lock and the directories it created,
+    innermost first, up to the first one it left non-empty.
     """
     lock = os.path.join(out_dir, ".lock")
     owned = False
@@ -372,6 +381,11 @@ def _out_dir_lock(out_dir: str):
         except OSError as exc:
             raise _ConfigError(f"--out {out_dir} is not a directory and "
                                f"cannot be made one: {exc}") from exc
+        if _lock_is_stale(lock):
+            print(f"warning: {lock} names no live process; taking it over",
+                  file=sys.stderr)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(lock)
         try:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:

@@ -125,17 +125,6 @@ class ArchiveEntry(NamedTuple):
     objectives: tuple[float, float, float]
 
 
-def pareto_archive(front) -> tuple[ArchiveEntry, ...]:
-    """The archive of a front, given as its members' (genes, objectives)
-    pairs: one entry per chromosome, the first one met, sorted by
-    (objectives, genes)."""
-    entries = {}
-    for genes, objectives in front:
-        genes = tuple(int(g) for g in genes)
-        entries.setdefault(genes, ArchiveEntry(genes, tuple(map(float, objectives))))
-    return tuple(sorted(entries.values(), key=lambda e: (e.objectives, e.genes)))
-
-
 def _admit(kept: list, objectives: tuple, genes: tuple) -> None:
     """Add a scored pair to `kept`, the ascending (objectives, genes) pairs
     that nothing scored so far dominates; distinct genes with equal
@@ -288,10 +277,10 @@ def evolve(config: GaConfig, evaluator: Callable,
     not scored again.  `alphabets[n]` lists the feasible gene values at site
     n (0 is always added).  Each parent is the winner of a binary tournament
     on the crowded-comparison order.  Each trace row reads front 0 of its
-    generation's combined parent+offspring population.  The archive is the
-    `pareto_archive` of every repaired chromosome the evaluator returned
-    that no other one it returned dominates, which the bounded population
-    can lose.
+    generation's combined parent+offspring population.  The archive holds
+    every repaired chromosome the evaluator returned that no other one it
+    returned dominates, which the bounded population can lose: one entry
+    per chromosome, sorted by (objectives, genes).
     """
     stream = _Stream(config.seed)
     random, randoms, below = stream.random, stream.randoms, stream.below
@@ -368,4 +357,5 @@ def evolve(config: GaConfig, evaluator: Callable,
         place = range(size)
         trace.append(_stats(generation, [combined[i] for i in first]))
 
-    return EvolveResult(archive=pareto_archive((g, o) for o, g in kept), trace=trace)
+    return EvolveResult(archive=tuple(ArchiveEntry(g, o) for o, g in kept),
+                        trace=trace)

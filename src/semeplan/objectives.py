@@ -2,8 +2,8 @@
 
 All three are minimized.  Cost and energy normalize against the most
 expensive feasible deployment, so they live in [0, 1]; the coverage
-deficit is the blind-spot area-weighted shortfall below the power
-threshold, averaged over time instants, in dBm-domain units.
+deficit is the shortfall below the power threshold per unit of blind-spot
+area, averaged over time instants, in dBm-domain units.
 """
 from __future__ import annotations
 
@@ -80,13 +80,11 @@ class Evaluator:
     """
 
     def __init__(self, db: MapDatabase, cells_per_t, pth_dbm: float,
-                 catalog: Sequence[SeeType], plan: SitePlan,
-                 *, normalized: bool = False):
+                 catalog: Sequence[SeeType], plan: SitePlan):
         self.db = db
         self.pth_dbm = float(pth_dbm)
         self.catalog = tuple(catalog)
         self.alphabets = plan.alphabets()
-        self.normalized = normalized
         self.cells_per_t = [np.asarray(c, dtype=int).reshape(-1, 2)
                             for c in cells_per_t]
         if all(len(c) == 0 for c in self.cells_per_t):
@@ -112,9 +110,7 @@ class Evaluator:
                 [self._entry_terms[key][t] for key in keys])
             deficit = _deficit(watts_to_dbm(power_w), self.pth_dbm).sum() \
                 * self._cell_area
-            if self.normalized:
-                deficit /= len(cells) * self._cell_area
-            total += deficit
+            total += deficit / (len(cells) * self._cell_area)
         return total / self.db.time_instants
 
     def __call__(self, genes) -> tuple[np.ndarray, ObjectiveVector]:

@@ -17,12 +17,12 @@ from semeplan.siteplanner import SitePlan
 
 
 def coverage_deficit(db: MapDatabase, genes, cells_per_t: Sequence[np.ndarray],
-                     pth_dbm: float, *, normalized: bool = False) -> float:
-    """Area-weighted shortfall below the threshold over the blind spot.
+                     pth_dbm: float) -> float:
+    """Shortfall below the threshold over the blind spot, per unit of
+    blind-spot area, averaged over the instants.
 
     `cells_per_t` lists the blind-spot cells (iy, ix) of the reference
-    scenario at each instant.  With `normalized` the per-instant sum is
-    divided by the blind-spot area instead of carrying m^2 units.
+    scenario at each instant.
     """
     t_count = db.time_instants
     if all(len(c) == 0 for c in cells_per_t):
@@ -36,8 +36,7 @@ def coverage_deficit(db: MapDatabase, genes, cells_per_t: Sequence[np.ndarray],
             continue
         power = power_map_dbm(db, genes, t)[cells[:, 0], cells[:, 1]]
         deficit = _deficit(power, pth_dbm).sum() * cell_area
-        if normalized:
-            deficit /= len(cells) * cell_area
+        deficit /= len(cells) * cell_area
         total += deficit
     return total / t_count
 
@@ -52,11 +51,9 @@ def fractions(genes, catalog: Sequence[SeeType],
 
 
 def evaluate(db: MapDatabase, genes, cells_per_t, pth_dbm: float,
-             catalog: Sequence[SeeType], plan: SitePlan,
-             *, normalized: bool = False) -> tuple[np.ndarray, ObjectiveVector]:
+             catalog: Sequence[SeeType], plan: SitePlan) -> tuple[np.ndarray, ObjectiveVector]:
     """Repair the chromosome and score all three objectives."""
     repaired = repair(genes, plan.alphabets())
-    vec = ObjectiveVector(coverage_deficit(db, repaired, cells_per_t, pth_dbm,
-                                           normalized=normalized),
+    vec = ObjectiveVector(coverage_deficit(db, repaired, cells_per_t, pth_dbm),
                           *fractions(repaired, catalog, plan))
     return repaired, vec

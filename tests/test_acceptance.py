@@ -296,7 +296,8 @@ def test_c07_coverage_term_semantics(coverable, coverable_evaluators):
     from dbtools import tiny_db
     db = tiny_db([[-70.0, -60.0]])
     got = coverage_deficit(db, [], [np.array([[0, 0], [0, 1]])], PTH)
-    assert abs(got - 25.0 * 5.0 / 65.0) < 1e-12
+    # (-65 - -70) / 65 and 0, averaged over the two blind-spot cells
+    assert abs(got - (5.0 / 65.0 + 0.0) / 2) < 1e-12
 
     # zero iff every blind-spot cell meets the threshold
     c = coverable

@@ -246,6 +246,16 @@ def test_reduction_counts_reference_cells_only():
     assert 0.0 <= stats[0].reduction_pct <= 100.0
 
 
+def test_extract_blindspot_needs_a_map_per_instant():
+    with pytest.raises(ValueError, match=r"shape \(T, ny, nx\)"):
+        extract_blindspot(np.full((4, 4), -70.0), PTH)
+
+
+def test_empirical_cdf_needs_a_value():
+    with pytest.raises(ValueError, match="at least one value"):
+        empirical_cdf(np.array([]), np.array([-65.0]))
+
+
 def test_summarize_counts_devices(coverable, tmp_path):
     entry = ArchiveEntry(genes=(3, 4), objectives=(0.0, 0.5, 0.5))
     path = tmp_path / "solutions.csv"

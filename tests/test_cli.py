@@ -623,12 +623,19 @@ def test_report_archive_naming_a_directory_is_stale(workspace, capsys):
     assert not (out / "solutions.csv").exists()
 
 
-def test_report_refuses_an_archive_written_with_other_options(workspace):
+def test_report_refuses_an_archive_written_with_other_options(workspace, capsys):
     _, out, base = workspace
+    other = base + ["--pth-dbm", "-70"]
     assert main(["dbgen"] + base) == 0
     assert main(["optimize"] + base + FAST_GA) == 0
-    assert main(["report"] + base + ["--coverage-units", "m2"]) == 3
+    assert main(["dbgen"] + other) == 0  # mapdb.bin is current for `other`
+    capsys.readouterr()
+    assert main(["report"] + other) == 3
+    assert capsys.readouterr().err == (
+        f"error: archive {out / 'archive.csv'} was not written from this "
+        "scenario with these options; rerun optimize\n")
     assert not (out / "solutions.csv").exists()
+    assert main(["dbgen"] + base) == 0
     assert main(["report"] + base) == 0
 
 
@@ -821,18 +828,39 @@ def test_outputs_carry_hash_and_config(workspace):
 def test_lockfile_warns_but_proceeds(workspace, capsys):
     scenario, out, base = workspace
     os.makedirs(out, exist_ok=True)
-    (out / ".lock").write_text("12345")
+    (out / ".lock").write_text(str(os.getpid()))
     assert main(["sites"] + base) == 0
     assert "another run may be active" in capsys.readouterr().err
+
+
+def _reaped_child_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return str(child.pid)
+
+
+@pytest.mark.parametrize("text", [_reaped_child_pid, "", "x", "0", "-1",
+                                  "1" + "0" * 30],
+                         ids=["reaped_child", "empty", "word", "zero", "negative",
+                              "too_large"])
+def test_a_lock_naming_no_live_process_is_taken_over(workspace, capsys, text):
+    scenario, out, base = workspace
+    os.makedirs(out, exist_ok=True)
+    lock = out / ".lock"
+    lock.write_text(text() if callable(text) else text)
+    assert main(["sites"] + base) == 0
+    err = capsys.readouterr().err
+    assert err == f"warning: {lock} names no live process; taking it over\n"
+    assert not lock.exists()
 
 
 def test_run_removes_only_its_own_lockfile(workspace):
     scenario, out, base = workspace
     assert main(["sites"] + base) == 0
     assert not (out / ".lock").exists()
-    (out / ".lock").write_text("12345")
+    (out / ".lock").write_text(str(os.getpid()))
     assert main(["sites"] + base) == 0
-    assert (out / ".lock").read_text() == "12345"
+    assert (out / ".lock").read_text() == str(os.getpid())
 
 
 @pytest.mark.parametrize("case", ["optimize_pop_2", "sites_missing_scenario"])
@@ -855,6 +883,8 @@ def test_bad_flags_are_config_errors(workspace):
     assert main(["optimize"] + base + ["--mode", "sideways"]) == 2
     assert main(["frobnicate"] + base) == 2
     assert main(["optimize"] + base + ["--restarts", "2"]) == 2
+    for stage in ("sites", "dbgen", "optimize", "report"):
+        assert main([stage] + base + ["--coverage-units", "m2"]) == 2
 
 
 @pytest.mark.parametrize("stage", ["sites", "optimize", "report"])

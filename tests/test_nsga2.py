@@ -11,7 +11,7 @@ from nsga2_oracle import dominates, nondominated_ranks
 from semeplan import nsga2
 from semeplan.nsga2 import (_BLOCK, EvolveError, GaConfig, _contestant_draw,
                             _Stream, crowding_distance, evolve,
-                            fast_nondominated_sort, pareto_archive)
+                            fast_nondominated_sort)
 
 
 def test_dominates_basics():
@@ -450,13 +450,3 @@ def test_hypervolume_matches_monte_carlo(points):
         inside |= (samples >= p).all(axis=1)
     mc = inside.mean() * 1.1 ** 3
     assert exact == pytest.approx(mc, abs=0.05)
-
-
-def test_archive_from_population_dedup():
-    genes = [np.array([1, 0]), np.array([1, 0]), np.array([0, 1]), (1, 1)]
-    objs = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)]
-    ranks = fast_nondominated_sort(objs, len(objs))
-    archive = pareto_archive([(g, o) for g, o, r in zip(genes, objs, ranks) if r == 0])
-    # rank 0 only, one entry per chromosome, sorted by objectives
-    assert [e.genes for e in archive] == [(0, 1), (1, 0)]
-    assert [e.objectives for e in archive] == [objs[2], objs[0]]

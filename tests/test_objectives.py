@@ -51,20 +51,13 @@ def test_max_cost_uses_feasible_kinds_only():
 def test_coverage_two_cell_hand_example():
     db = tiny_db([[-70.0, -60.0]])
     got = coverage_deficit(db, [0] * 0, [np.array([[0, 0], [0, 1]])], PTH)
-    assert abs(got - 25.0 * 5.0 / 65.0) < 1e-12
+    # (-65 - -70) / 65 and 0, averaged over the two blind-spot cells
+    assert abs(got - (5.0 / 65.0 + 0.0) / 2) < 1e-12
 
 
 def test_cell_exactly_at_threshold_contributes_zero():
     db = tiny_db([[-65.0, -60.0]])
     assert coverage_deficit(db, [], [np.array([[0, 0], [0, 1]])], PTH) == 0.0
-
-
-def test_normalized_variant_divides_by_area():
-    db = tiny_db([[-70.0, -60.0]])
-    cells = [np.array([[0, 0], [0, 1]])]
-    raw = coverage_deficit(db, [], cells, PTH)
-    norm = coverage_deficit(db, [], cells, PTH, normalized=True)
-    assert norm == pytest.approx(raw / 50.0, rel=1e-12)
 
 
 def test_empty_blindspot_warns_and_returns_zero():
@@ -204,7 +197,7 @@ def test_incoherent_monotone_under_added_device(coverable_evaluators):
 
 @given(st.lists(st.integers(0, 4), min_size=4, max_size=4),
        st.lists(st.integers(0, 4), min_size=4, max_size=4))
-def test_unnormalized_sums_additive_on_disjoint_supports(a, b):
+def test_deployment_totals_additive_on_disjoint_supports(a, b):
     a = np.array(a)
     b = np.array(b)
     b[a > 0] = 0  # force disjoint installed sites

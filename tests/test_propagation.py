@@ -14,6 +14,7 @@ from semeplan.propagation import (MapDatabase, fields_to_power_watts,
                                   point_power_dbm, save_database,
                                   _sector_gain_dbi)
 from dbtools import in_memory, see_contribution, site_powers
+from toys import coverable_toy
 from semeplan.scenario import BtsSector, scenario_from_dict
 from semeplan.synthetic import demo_scenario
 from semeplan.units import FREE_SPACE_IMPEDANCE, watts_to_dbm
@@ -545,3 +546,19 @@ def test_build_database_rejects_a_foreign_reference():
     with pytest.raises(ValueError, match="reference field"):
         build_database(sc, reference_field(open_field(nx=5, ny=6)), {},
                        incident_dbm=site_powers(sc))
+
+
+def test_build_database_rejects_an_unknown_mode():
+    sc = open_field(nx=6, ny=6)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        build_database(sc, reference_field(sc), {}, incident_dbm=site_powers(sc),
+                       mode="loud")
+
+
+@pytest.mark.parametrize("extra", [None, 1, -1])
+def test_site_fields_needs_one_aim_point_per_instant(extra):
+    sc = scenario_from_dict(coverable_toy())
+    shape = (3,) if extra is None else (sc.time_instants + extra, 3)
+    with pytest.raises(ValueError, match="one 3D point per time instant"):
+        propagation._site_fields(sc, sc.sites[0], site_powers(sc)[:, 0],
+                                 [(sc.catalog[0], np.zeros(shape))], 20.0)

@@ -141,6 +141,13 @@ def test_ase_radii_formula():
     assert rho_roi == pytest.approx(expect_roi, rel=1e-12)
 
 
+def test_ase_radii_needs_an_active_kind():
+    sc = paper_bts_scenario(catalog=copy.deepcopy(DEFAULT_CATALOG))
+    assert sc.catalog[0].is_passive
+    with pytest.raises(ValueError, match="needs an active kind, got SP-EMS"):
+        ase_radii(sc, sc.catalog[0], pth_dbm=-65.0)
+
+
 def test_ase_region_empty_when_disks_disjoint():
     catalog = [{"kind": "SR", "install_cost": 3000.0, "energy_w": 20.0,
                 "tx_power_dbm": -60.0, "gain_dbi": 0.0,

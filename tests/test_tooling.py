@@ -1,10 +1,12 @@
 """The scripts and the benchmark driver start, and every name they import
 from `semeplan` exists, so moving a name they use fails here first."""
+import argparse
 import ast
 import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -56,6 +58,20 @@ def test_console_script_target_resolves():
                         f"import sys; from {module} import {attr}; "
                         f"sys.argv = [{name!r}, '--help']; sys.exit({attr}())"],
                        env=_env(), check=True, capture_output=True, timeout=120)
+
+
+def test_readme_pipeline_flags_are_the_stage_options():
+    # A flag the stages dropped or renamed cannot stay documented.
+    from semeplan.cli import build_parser
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Pipeline\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    [stages] = [action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    options = {option for stage in stages.choices.values()
+               for action in stage._actions for option in action.option_strings
+               if option.startswith("--")} - {"--help"}
+    assert named == options
 
 
 @pytest.mark.parametrize("tool", TOOLS, ids=lambda path: str(path.relative_to(ROOT)))
